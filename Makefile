@@ -10,9 +10,9 @@ BENCHTIME ?= 0.3s
 # cover all of them so benchmark code can never silently rot.
 BENCH_PKGS = . ./internal/ipc ./internal/rpc ./internal/iomgr ./internal/pager ./internal/camelot ./internal/obs
 
-.PHONY: all build vet fmt fmt-check test race bench bench-trajectory bench-smoke fuzz crosshost generate generate-check
+.PHONY: all build vet fmt fmt-check test test-multicore race bench bench-trajectory bench-smoke fuzz crosshost generate generate-check
 
-all: build vet fmt-check generate-check test
+all: build vet fmt-check generate-check test test-multicore
 
 # generate re-runs machgen over the interface definitions in
 # internal/idl/defs, rewriting zz_generated_machgen.go files that
@@ -43,6 +43,10 @@ fmt-check:
 
 test:
 	$(GO) test ./...
+
+# test-multicore reruns the memory-half packages at GOMAXPROCS 1 and 4.
+test-multicore:
+	$(GO) test -count=1 -cpu=1,4 ./internal/fs ./internal/vm ./internal/kern ./internal/pager
 
 race:
 	$(GO) test -race ./...

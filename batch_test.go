@@ -203,7 +203,7 @@ func BenchmarkCrossHostBatchedRPC(b *testing.B) {
 			}
 		}
 	})
-	b.Run("batched-16", func(b *testing.B) {
+	b.Run("batched16", func(b *testing.B) {
 		c, stop := newCrossHostEcho(b)
 		defer stop()
 		const batchN = 16

@@ -105,6 +105,11 @@ func fatal(err error) {
 // --- emit -------------------------------------------------------------------
 
 var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+(.+)$`)
+
+// procsSuffix matches the -<procs> suffix the harness appends when
+// GOMAXPROCS > 1. At GOMAXPROCS 1 there is no suffix, so a benchmark
+// name that itself ends in -<digits> would be misread as a proc count:
+// name sub-benchmarks accordingly ("batched16", not "batched-16").
 var procsSuffix = regexp.MustCompile(`-(\d+)$`)
 var procsComponent = regexp.MustCompile(`(?:^|/)gomaxprocs=(\d+)(?:/|$)`)
 

@@ -2,10 +2,13 @@
 // read-whole-file / write-whole-file server whose files are memory
 // objects. fs_read_file returns new virtual memory mapped copy-on-write
 // in the client's address space; page faults on it reach the server as
-// pager_data_request calls, which it satisfies from its disk. The server
-// uses only the minimal subset of the external memory interface — it
-// never receives pager_data_write or pager_data_unlock — and it cleans up
-// a file's resources when the pager request port dies, exactly as the
+// pager_data_request calls, which it satisfies from its disk. Reads by
+// message through an open handle (ReadAt) are served from the same
+// memory object's pages in the kernel cache, so the two views of a file
+// share one cache and the disk is read only on a miss. The server uses
+// only the minimal subset of the external memory interface — it never
+// receives pager_data_write or pager_data_unlock — and it cleans up a
+// file's resources when the pager request port dies, exactly as the
 // paper's port_death handler does.
 package fs
 
@@ -18,6 +21,7 @@ import (
 	"repro/internal/kern"
 	"repro/internal/lifecycle"
 	"repro/internal/machine"
+	"repro/internal/obs"
 	"repro/internal/pager"
 	"repro/internal/rpc"
 	"repro/internal/vm"
@@ -45,11 +49,12 @@ var (
 
 // file is the server's per-file state: its disk blocks, size, and the
 // file's memory object (the association from §4.1, "record association of
-// file to new_object"). The object is created at first read and REUSED
-// for later reads, with pager_cache permission granted, so the kernel
-// keeps file pages in its physical memory cache between uses — the
-// mechanism behind the paper's §9 claim that Mach uses the bulk of
-// physical memory as a cache of secondary storage.
+// file to new_object"). The object is created at first read — ReadFile
+// or ReadAt — and REUSED for later reads of either kind, with pager_cache
+// permission granted, so the kernel keeps file pages in its physical
+// memory cache between uses — the mechanism behind the paper's §9 claim
+// that Mach uses the bulk of physical memory as a cache of secondary
+// storage.
 type file struct {
 	name   string
 	size   uint64
@@ -72,6 +77,16 @@ type Server struct {
 	disk   *machine.Disk
 	rpc    *rpc.Server
 	lc     *lifecycle.Watcher
+	obs    *obs.FSMetrics
+
+	// supplyMu orders page supply against rewrites. A supplier holds it
+	// from block lookup through disk read to the pager_data_provided
+	// send; storeFile holds it from block reassignment through disk
+	// write to the completed flush. A page read before a rewrite is
+	// therefore always queued to the kernel ahead of that rewrite's
+	// flush, which removes it, and can never outlive the rewrite in
+	// the cache. Taken before mu.
+	supplyMu sync.Mutex
 
 	mu       sync.Mutex
 	files    map[string]*file
@@ -97,6 +112,7 @@ func NewServer(k *kern.Kernel, disk *machine.Disk) (*Server, error) {
 		kernel:   k,
 		task:     k.NewTask(),
 		disk:     disk,
+		obs:      obs.FS(),
 		files:    make(map[string]*file),
 		sessions: make(map[ipc.Name]*session),
 	}
@@ -159,9 +175,12 @@ func (s *Server) allocBlock() (int, bool) {
 
 // storeFile writes data to disk under name, replacing prior contents.
 // Any pages of the file's memory object cached by the kernel are flushed
-// so later readers see the new contents.
+// before it returns, so later readers of either kind see the new
+// contents.
 func (s *Server) storeFile(name string, data []byte) error {
 	ps := int(s.kernel.VM.PageSize())
+	s.supplyMu.Lock()
+	defer s.supplyMu.Unlock()
 	s.mu.Lock()
 	f := s.files[name]
 	if f == nil {
@@ -232,27 +251,36 @@ func (h *serverHandler) PagerInit(mo *pager.MemoryObject) {
 func (h *serverHandler) DataRequest(mo *pager.MemoryObject, offset, length uint64, desired vm.Prot) {
 	s := h.srv()
 	f, _ := mo.Tag.(*file)
-	if f == nil {
+	// "Allocate disk buffer ... lookup ... disk_read ... return the
+	// data with no locking ... deallocate disk buffer."
+	if f == nil || s.supplyPage(f, mo, offset) == nil {
 		_ = mo.DataUnavailable(offset, length)
-		return
 	}
+}
+
+// supplyPage reads the file page at offset (page aligned) from disk and,
+// once the kernel has initialised mo, hands it to the kernel cache with
+// pager_data_provided. It returns the page, nil if the file has no such
+// page.
+func (s *Server) supplyPage(f *file, mo *pager.MemoryObject, offset uint64) []byte {
 	ps := s.kernel.VM.PageSize()
-	idx := int(offset / ps)
+	s.supplyMu.Lock()
+	defer s.supplyMu.Unlock()
 	s.mu.Lock()
-	var blk = -1
-	if idx < len(f.blocks) {
+	blk := -1
+	if idx := int(offset / ps); idx < len(f.blocks) {
 		blk = f.blocks[idx]
 	}
 	s.mu.Unlock()
 	if blk < 0 {
-		_ = mo.DataUnavailable(offset, length)
-		return
+		return nil
 	}
-	// "Allocate disk buffer ... lookup ... disk_read ... return the
-	// data with no locking ... deallocate disk buffer."
 	buf := make([]byte, ps)
 	s.disk.Read(blk, buf)
-	_ = mo.DataProvided(offset, buf, vm.ProtNone)
+	if s.mgr.RequestPortReady(mo) {
+		_ = mo.DataProvided(offset, buf, vm.ProtNone)
+	}
+	return buf
 }
 
 // DataWrite never happens for the read/copy-on-write interface; data is
@@ -289,38 +317,52 @@ type fsService Server
 
 func (h *fsService) srv() *Server { return (*Server)(h) }
 
+// lookup returns the named file and its current size, nil if there is
+// no such file.
+func (s *Server) lookup(name string) (*file, uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	f := s.files[name]
+	if f == nil {
+		return nil, 0
+	}
+	return f, f.size
+}
+
+// fileObject returns f's memory object: "allocate a memory object (a
+// port), and accept requests" on first use, and reuse it after that, so
+// the kernel's cached pages (retained under pager_cache) serve later
+// reads of either kind with no disk traffic.
+func (s *Server) fileObject(f *file) (*pager.MemoryObject, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if f.mo == nil {
+		mo, err := s.mgr.NewObject(f)
+		if err != nil {
+			return nil, err
+		}
+		f.mo = mo
+	}
+	return f.mo, nil
+}
+
 // ReadFile implements fs_read_file: create a memory object, map it into
 // the server's own address space, and return that region out-of-line so
 // the client receives it copy-on-write.
 func (h *fsService) ReadFile(m *ipc.Message, in *ReadFileRequest) (*ReadFileReply, error) {
 	s := h.srv()
-	s.mu.Lock()
-	f := s.files[in.Name]
-	s.mu.Unlock()
+	f, size := s.lookup(in.Name)
 	if f == nil {
 		return nil, rpc.Errf(rpc.StatusNotFound, "fs: no file %q", in.Name)
 	}
 	ps := s.kernel.VM.PageSize()
-	mapSize := (f.size + ps - 1) / ps * ps
+	mapSize := (size + ps - 1) / ps * ps
 	if mapSize == 0 {
 		mapSize = ps
 	}
-	// "Allocate a memory object (a port), and accept requests" — or
-	// reuse the file's existing object, so the kernel's cached pages
-	// (retained under pager_cache) serve this read with no disk
-	// traffic.
-	s.mu.Lock()
-	mo := f.mo
-	s.mu.Unlock()
-	if mo == nil {
-		var err error
-		mo, err = s.mgr.NewObject(f)
-		if err != nil {
-			return nil, err
-		}
-		s.mu.Lock()
-		f.mo = mo
-		s.mu.Unlock()
+	mo, err := s.fileObject(f)
+	if err != nil {
+		return nil, err
 	}
 	// "Map the memory object into our address space." The server must
 	// never touch this mapping itself: a fault here would be the
@@ -340,7 +382,7 @@ func (h *fsService) ReadFile(m *ipc.Message, in *ReadFileRequest) (*ReadFileRepl
 	// mapping (Mach's deallocate-on-send). The object's pages stay in
 	// the kernel cache thanks to pager_cache.
 	_ = s.task.VMDeallocate(addr, mapSize)
-	return &ReadFileReply{Size: f.size, Content: region}, nil
+	return &ReadFileReply{Size: size, Content: region}, nil
 }
 
 // WriteFile implements fs_write_file: map the client's region and store
@@ -369,13 +411,11 @@ func (h *fsService) WriteFile(m *ipc.Message, in *WriteFileRequest) (*WriteFileR
 // Stat returns a file's size by name.
 func (h *fsService) Stat(m *ipc.Message, in *StatRequest) (*StatReply, error) {
 	s := h.srv()
-	s.mu.Lock()
-	f := s.files[in.Name]
-	s.mu.Unlock()
+	f, size := s.lookup(in.Name)
 	if f == nil {
 		return nil, rpc.Errf(rpc.StatusNotFound, "fs: no file %q", in.Name)
 	}
-	return &StatReply{Size: f.size}, nil
+	return &StatReply{Size: size}, nil
 }
 
 // --- open handles (per-client sessions) ------------------------------------
@@ -403,9 +443,7 @@ func (s *Server) SessionsReaped() int64 {
 // refcount instead of death).
 func (h *fsService) Open(m *ipc.Message, in *OpenRequest) (*OpenReply, error) {
 	s := h.srv()
-	s.mu.Lock()
-	f := s.files[in.Name]
-	s.mu.Unlock()
+	f, size := s.lookup(in.Name)
 	if f == nil {
 		return nil, rpc.Errf(rpc.StatusNotFound, "fs: no file %q", in.Name)
 	}
@@ -423,7 +461,7 @@ func (h *fsService) Open(m *ipc.Message, in *OpenRequest) (*OpenReply, error) {
 		_ = s.task.Space.DeallocatePort(sp)
 		return nil, err
 	}
-	return &OpenReply{Size: f.size, Handle: sp}, nil
+	return &OpenReply{Size: size, Handle: sp}, nil
 }
 
 // reapSession runs on the manager loop when an open handle's last send
@@ -444,7 +482,10 @@ func (s *Server) reapSession(n ipc.Name) {
 // ReadAt serves a read through an open handle. The handle right rides
 // in the message body as the per-call capability; it resolves to the
 // very name the server allocated (rights to one port merge onto one
-// name per space), which indexes the session table.
+// name per space), which indexes the session table. The bytes come from
+// the file's memory object in the kernel cache, the pages ReadFile's
+// mappings fault in too; only a page the cache lacks is read from disk,
+// and that page is then supplied to the cache for the next reader.
 func (h *fsService) ReadAt(m *ipc.Message, in *ReadAtRequest) (*ReadAtReply, error) {
 	s := h.srv()
 	s.mu.Lock()
@@ -461,7 +502,6 @@ func (h *fsService) ReadAt(m *ipc.Message, in *ReadAtRequest) (*ReadAtReply, err
 	s.mu.Lock()
 	f := sess.f
 	size := f.size
-	blocks := append([]int(nil), f.blocks...)
 	s.mu.Unlock()
 	if in.Offset >= size {
 		return &ReadAtReply{}, nil
@@ -469,21 +509,33 @@ func (h *fsService) ReadAt(m *ipc.Message, in *ReadAtRequest) (*ReadAtReply, err
 	if in.Offset+length > size {
 		length = size - in.Offset
 	}
-	out := make([]byte, 0, length)
-	buf := make([]byte, ps)
-	for len(out) < int(length) {
-		pos := in.Offset + uint64(len(out))
-		idx := int(pos / ps)
-		if idx >= len(blocks) {
-			break
+	mo, err := s.fileObject(f)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, length)
+	for pos := uint64(0); pos < length; {
+		at := in.Offset + pos
+		page := at - at%ps
+		dst := out[pos:min(length, page+ps-in.Offset)]
+		// The server must never fault on its own object (§6.1), so it
+		// reads only what is resident and goes to disk otherwise.
+		hit, err := s.task.ReadResident(mo.Port, at, dst)
+		if err != nil {
+			return nil, err
 		}
-		s.disk.Read(blocks[idx], buf)
-		off := int(pos % ps)
-		n := int(ps) - off
-		if rem := int(length) - len(out); n > rem {
-			n = rem
+		if hit {
+			s.obs.ReadAtCached.Inc()
+		} else {
+			buf := s.supplyPage(f, mo, page)
+			if buf == nil {
+				out = out[:pos]
+				break
+			}
+			s.obs.ReadAtDisk.Inc()
+			copy(dst, buf[at-page:])
 		}
-		out = append(out, buf[off:off+n]...)
+		pos += uint64(len(dst))
 	}
 	return &ReadAtReply{Data: out}, nil
 }

@@ -229,6 +229,23 @@ func (t *Task) VMAllocateWithPager(memObj ipc.Name, objOffset, addr, size uint64
 	return t.Map.AllocateWithObject(obj, objOffset, addr, size, anywhere, false)
 }
 
+// ReadResident copies len(dst) bytes of a memory object — named by a port
+// right in the task's space — from the kernel's page cache, without
+// mapping the object or faulting. It reports false, having copied
+// nothing, unless every page of the range is resident and valid (see
+// vm.System.ReadResident). The first use creates the kernel's object
+// structure and sends pager_init, as vm_allocate_with_pager would. Data
+// managers call it on the objects they serve, from the loop that also
+// answers pager_data_request, which must never fault on its own object.
+func (t *Task) ReadResident(memObj ipc.Name, offset uint64, dst []byte) (bool, error) {
+	port, err := t.Space.Resolve(memObj)
+	if err != nil {
+		return false, err
+	}
+	obj := t.k.Cache.Lookup(port, offset+uint64(len(dst)))
+	return t.k.VM.ReadResident(obj, offset, dst), nil
+}
+
 // --- IPC conveniences -----------------------------------------------------
 
 // Send is msg_send on the task's port space.

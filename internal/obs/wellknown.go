@@ -217,6 +217,24 @@ func Pager() *PagerMetrics {
 	}
 }
 
+// FSMetrics is the filesystem server instrumentation, process-global.
+type FSMetrics struct {
+	// ReadAtCached counts pages a ReadAt served from the file's memory
+	// object in the kernel cache; ReadAtDisk the pages it had to read
+	// from disk instead.
+	ReadAtCached *Counter
+	ReadAtDisk   *Counter
+}
+
+// FS returns the global filesystem bundle.
+func FS() *FSMetrics {
+	r := Default()
+	return &FSMetrics{
+		ReadAtCached: r.Counter("fs.read_at_cached"),
+		ReadAtDisk:   r.Counter("fs.read_at_disk"),
+	}
+}
+
 // IOMetrics is the async I/O manager instrumentation, process-global.
 type IOMetrics struct {
 	Submitted    *Counter

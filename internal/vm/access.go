@@ -1,5 +1,11 @@
 package vm
 
+import (
+	"time"
+
+	"repro/internal/machine"
+)
+
 // This file is the simulated CPU's load/store path. Tasks touch their
 // address space through ReadBytes/WriteBytes, which consult the pmap (the
 // simulated TLB) and take the machine-independent fault path on a miss or
@@ -56,6 +62,46 @@ func (m *Map) access(addr uint64, buf []byte, desired Prot) error {
 		}
 	}
 	return nil
+}
+
+// ReadResident copies len(dst) bytes of obj starting at offset straight
+// out of the resident-page cache, with no mapping and no fault. It is all
+// or nothing: if any page of the range is absent, busy, in error or
+// locked against reads, or the object is destroyed or failed, it copies
+// nothing, charges nothing and returns false. A hit sets each page's
+// reference bit and charges what a load of the same bytes through
+// ReadBytes would. A data manager uses it to serve reads of its own
+// object from the kernel cache: faulting on its own object instead would
+// be the self-paging deadlock of §6.1.
+func (s *System) ReadResident(obj *Object, offset uint64, dst []byte) bool {
+	ps := s.PageSize()
+	end := offset + uint64(len(dst))
+	s.mu.Lock()
+	if obj.destroyed || obj.failErr != nil || end > obj.size {
+		s.mu.Unlock()
+		return false
+	}
+	for page := s.trunc(offset); page < end; page += ps {
+		p := s.hash.lookup(obj, page)
+		if p == nil || p.busy || p.absent || p.pageError != nil ||
+			p.frame == machine.InvalidFrame || p.lock&ProtRead != 0 {
+			s.mu.Unlock()
+			return false
+		}
+	}
+	pages := 0
+	for pos := 0; pos < len(dst); pages++ {
+		at := offset + uint64(pos)
+		p := s.hash.lookup(obj, s.trunc(at))
+		p.referenced = true
+		off := int(at % ps)
+		pos += copy(dst[pos:], s.frames.Bytes(p.frame)[off:])
+	}
+	s.mu.Unlock()
+	if s.clock != nil {
+		s.clock.Advance(time.Duration(pages)*s.model.LocalAccess + time.Duration(len(dst))*s.model.ByteCopy)
+	}
+	return true
 }
 
 // Touch faults every page of [addr, addr+size) with the desired access
