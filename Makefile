@@ -10,7 +10,7 @@ BENCHTIME ?= 0.3s
 # cover all of them so benchmark code can never silently rot.
 BENCH_PKGS = . ./internal/ipc ./internal/rpc ./internal/iomgr ./internal/pager ./internal/camelot ./internal/obs
 
-.PHONY: all build vet fmt fmt-check test test-multicore race bench bench-trajectory bench-smoke fuzz crosshost generate generate-check
+.PHONY: all build vet fmt fmt-check test test-multicore race race-netmsg-gc bench bench-trajectory bench-smoke fuzz crosshost generate generate-check
 
 all: build vet fmt-check generate-check test test-multicore
 
@@ -44,13 +44,24 @@ fmt-check:
 test:
 	$(GO) test ./...
 
-# test-multicore reruns the memory-half packages at GOMAXPROCS 1 and 4.
+# test-multicore reruns the memory-half packages, and netmsg whose
+# cross-host OOL stress leans on the shared transit map, at GOMAXPROCS 1
+# and 4.
 test-multicore:
-	$(GO) test -count=1 -cpu=1,4 ./internal/fs ./internal/vm ./internal/kern ./internal/pager
+	$(GO) test -count=1 -cpu=1,4 ./internal/fs ./internal/vm ./internal/kern ./internal/pager ./internal/netmsg
 
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=2 -run 'TestPortSetChurnStress|TestReceiveAnyVsSetNoDoubleDelivery' ./internal/ipc
+
+# race-netmsg-gc reruns the netmsg distributed-GC and registry tests
+# under -race at GOMAXPROCS 1 and 4: proxy retirement, piggybacked
+# sender-count returns, the idle flush and Stop's final batch.
+# TestCrossHostStress is left out only because it waits on the vm
+# transit-map fix (ROADMAP item 1); it still runs in `make test` and
+# `make race`.
+race-netmsg-gc:
+	$(GO) test -race -count=3 -cpu=1,4 -run 'Retire|ProxyGC|ProxySurvives|Lookup|Negative|Registry|CarriedRights|Piggyback' ./internal/netmsg
 
 fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzDecode -fuzztime=5s ./internal/rpc

@@ -24,7 +24,7 @@ func E10NetmsgCrossHost() Table {
 		ID:         "E10",
 		Title:      "cross-host RPC: direct vs netmsg proxy relay (NORMA, 2 hosts)",
 		PaperClaim: "\"a port ... can be used by processes on different machines through user-state network message servers\" (§3.2)",
-		Headers:    []string{"path", "calls", "sim-ms", "us/call", "local-msgs", "remote-msgs", "remote-KB"},
+		Headers:    []string{"path", "calls", "sim-ms", "us/call", "local-msgs", "remote-msgs", "remote-KB", "ctl-msgs"},
 	}
 	const (
 		calls          = 500
@@ -122,6 +122,7 @@ func E10NetmsgCrossHost() Table {
 			fmt.Sprintf("%d", st.LocalMessages),
 			fmt.Sprintf("%d", st.RemoteMessages),
 			fmt.Sprintf("%.1f", float64(st.RemoteBytes)/1024),
+			fmt.Sprintf("%d", controlMsgs(d)),
 		})
 
 		srv.Stop()
@@ -130,6 +131,7 @@ func E10NetmsgCrossHost() Table {
 	}
 	t.Notes = append(t.Notes,
 		"cross-netmsg pays one extra local hop per leg (sender -> proxy queue) plus the forwarder's remote hop; cross-direct is the privileged baseline netmsg makes unnecessary",
-		"message counts are per 500 calls: 2 remote messages per call remotely (request + reply), 0 same-host")
+		"message counts are per 500 calls: 2 remote messages per call remotely (request + reply), 0 same-host",
+		"ctl-msgs is netmsg protocol traffic inside the window: 0, since the reply port's reverse proxy is set up by the request carrying it and its sender-count returns ride the replies")
 	return t
 }

@@ -1,13 +1,27 @@
 package experiments
 
 import (
+	"strings"
 	"sync"
 
 	"repro/internal/ipc"
 	"repro/internal/kern"
+	"repro/internal/obs"
 	"repro/internal/pager"
 	"repro/internal/vm"
 )
+
+// controlMsgs sums every host's per-peer netmsg control-message
+// counters ("hostN.netmsg.peerM.control_msgs") in a registry diff.
+func controlMsgs(d obs.Snapshot) uint64 {
+	var n uint64
+	for name, v := range d.Counters {
+		if strings.Contains(name, ".netmsg.peer") && strings.HasSuffix(name, ".control_msgs") {
+			n += v
+		}
+	}
+	return n
+}
 
 // memPager is an in-memory data manager speaking the full IPC protocol,
 // used as the external pager in the experiments.

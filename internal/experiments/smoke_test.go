@@ -7,11 +7,40 @@ import (
 )
 
 func TestRunAll(t *testing.T) {
-	for _, f := range []func() Table{E2MessageCopyVsCOW, E3UnixCacheVsMach, E4ArchLatency, E5SharedMemoryLocality, E6Migration, E7CamelotWAL, E8FaultPath, E9Ablations, E11DurableIO} {
+	for _, f := range []func() Table{E2MessageCopyVsCOW, E3UnixCacheVsMach, E4ArchLatency, E5SharedMemoryLocality, E6Migration, E7CamelotWAL, E8FaultPath, E9Ablations, E10NetmsgCrossHost, E11DurableIO} {
 		tb := f()
 		tb.Render(os.Stdout)
-		if tb.ID == "E3" {
+		switch tb.ID {
+		case "E3":
 			checkE3(t, tb)
+		case "E10":
+			checkE10(t, tb)
+		}
+	}
+}
+
+// checkE10 pins the relay claim: over 500 calls a remote caller costs
+// exactly 2 remote messages per call (request + reply) whether it holds
+// a direct right or goes through the netmsg proxies, the relay adds no
+// control traffic, and a same-host caller crosses nothing.
+func checkE10(t *testing.T, tb Table) {
+	t.Helper()
+	want := map[string][2]string{
+		"same-host":    {"0", "0"},
+		"cross-direct": {"1000", "0"},
+		"cross-netmsg": {"1000", "0"},
+	}
+	remote, ctl := column(t, tb, "remote-msgs"), column(t, tb, "ctl-msgs")
+	if len(tb.Rows) != len(want) {
+		t.Fatalf("E10 has %d rows, want %d", len(tb.Rows), len(want))
+	}
+	for _, row := range tb.Rows {
+		w, ok := want[row[0]]
+		if !ok {
+			t.Fatalf("E10 row %q not pinned", row[0])
+		}
+		if got := [2]string{row[remote], row[ctl]}; got != w {
+			t.Errorf("E10 %s remote/control msgs = %s/%s, want %s/%s", row[0], got[0], got[1], w[0], w[1])
 		}
 	}
 }

@@ -4,6 +4,11 @@ import (
 	"bytes"
 	"testing"
 	"time"
+
+	"repro/internal/kern"
+	"repro/internal/machine"
+	"repro/internal/netmsg"
+	"repro/internal/obs"
 )
 
 func waitForSessions(t *testing.T, srv *Server, want int) {
@@ -115,5 +120,69 @@ func TestOpenHandleReapedOnClientDeath(t *testing.T) {
 	}
 	if srv.SessionsReaped() != 2 {
 		t.Fatalf("sessions reaped %d, want 2", srv.SessionsReaped())
+	}
+}
+
+// TestCrossHostCloseReapsWithoutTraffic: a client on another host opens
+// a file through its netmsg proxy and closes it, and nothing crosses
+// afterwards. The handle proxy's sender-count return has no later
+// message to ride, so the idle flush carries it: the session is still
+// reaped, exactly once, for one control message from host 1 to host 0.
+func TestCrossHostCloseReapsWithoutTraffic(t *testing.T) {
+	clock := machine.NewClock()
+	topo := machine.NewTopology(machine.ModelFor(machine.NORMA), clock)
+	net := netmsg.NewNetwork()
+	mk := func(h machine.HostID) *kern.Kernel {
+		k := kern.NewKernel(kern.Config{Host: h, Frames: 256, PageSize: pgsz, Clock: clock, Topo: topo, NetMsg: net})
+		t.Cleanup(k.Shutdown)
+		return k
+	}
+	k0, k1 := mk(0), mk(1)
+	srv, err := NewServer(k0, machine.NewDisk(1024, pgsz, machine.DefaultDiskLatency, clock))
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Run()
+	t.Cleanup(srv.Stop)
+	if err := srv.CreateFile("f", []byte("remote")); err != nil {
+		t.Fatal(err)
+	}
+	reg := k0.NewTask()
+	svc, err := srv.Publish(reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boot, err := k0.NetMsg().Publish(reg.Space)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := netmsg.CheckIn(reg.Space, boot, "fs", svc); err != nil {
+		t.Fatal(err)
+	}
+
+	client := k1.NewTask()
+	boot1, err := k1.NetMsg().Publish(client.Space)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rsvc, err := netmsg.LookUp(client.Space, boot1, "fs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := Open(client, rsvc, "f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitForSessions(t, srv, 1)
+	before := obs.Default().Snapshot()
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitForSessions(t, srv, 0)
+	if got := srv.SessionsReaped(); got != 1 {
+		t.Fatalf("sessions reaped %d, want 1", got)
+	}
+	if c := obs.Default().Snapshot().Diff(before).Counters["host1.netmsg.peer0.control_msgs"]; c != 1 {
+		t.Fatalf("close cost %d control messages from host 1 to host 0, want 1 (the idle flush)", c)
 	}
 }

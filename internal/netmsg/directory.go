@@ -140,7 +140,7 @@ type dirEntry struct {
 // server and dst (the unit a registry install or home-node lookup
 // costs).
 func (s *Server) chargeRoundTrip(dst machine.HostID) {
-	s.peerMetrics(dst).ControlMsgs.Add(2)
+	s.peer(dst).met.ControlMsgs.Add(2)
 	if s.topo != nil {
 		s.topo.ChargeMessage(s.host, dst, controlBytes)
 		s.topo.ChargeMessage(dst, s.host, controlBytes)
@@ -150,7 +150,7 @@ func (s *Server) chargeRoundTrip(dst machine.HostID) {
 // chargeOneWay accounts a single control message toward dst
 // (replica updates, invalidation pushes).
 func (s *Server) chargeOneWay(dst machine.HostID) {
-	s.peerMetrics(dst).ControlMsgs.Inc()
+	s.peer(dst).met.ControlMsgs.Inc()
 	if s.topo != nil {
 		s.topo.ChargeMessage(s.host, dst, controlBytes)
 	}

@@ -40,6 +40,7 @@ package netmsg
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/ipc"
@@ -48,9 +49,11 @@ import (
 	"repro/internal/rpc"
 )
 
-// controlBytes approximates one netmsg-to-netmsg control message (proxy
-// negotiation, registry broadcast, sender-count delta), charged to the
-// interconnect.
+// controlBytes approximates one netmsg-to-netmsg control message (a
+// third-party proxy registration, a registry lookup or push, an idle
+// batch of sender-count returns), charged to the interconnect. The
+// distributed GC sends one only when no data message is crossing the
+// same way to carry its bookkeeping.
 const controlBytes = 32
 
 // msgProxyRetire is the private sentinel a proxy's no-senders watch
@@ -62,9 +65,11 @@ const msgProxyRetire ipc.MsgID = -201
 // proxyLinger is the wall-clock grace a zero-reference proxy lingers
 // before its retire sentinel is queued. Request/reply traffic retires
 // and re-creates a reply port's reverse proxy between every call
-// without it — a create+retire churn of two control messages and a
-// forwarding thread per RPC; with the linger, back-to-back calls reuse
-// a warm proxy and only a genuinely idle one is collected.
+// without it — a create+retire churn of a forwarding thread and a
+// sender-count return per RPC; with the linger, back-to-back calls
+// reuse a warm proxy and only a genuinely idle one is collected. The
+// same grace bounds how long a sender-count return waits for a message
+// to ride before it is flushed on its own.
 //
 // The linger is deliberately wall-clock, not virtual: the virtual
 // clock only advances when traffic is charged, so a virtual-time
@@ -85,7 +90,8 @@ type Stats struct {
 	// ProxiesRetired counts proxies reclaimed by the no-senders GC:
 	// the last local send reference went away, the proxy drained and
 	// retired itself, and its one logical send right at home was
-	// returned (one control message).
+	// returned (riding the next message to the home host, or an idle
+	// batch of returns in one control message).
 	ProxiesRetired int64
 	// ProxiesDied counts proxies torn down by home-port death or
 	// server stop rather than by GC.
@@ -213,6 +219,13 @@ type Server struct {
 	// under this lock; retirement re-checks the reference count under
 	// the same lock, which is what makes retire-vs-handout race free.
 	proxies map[*ipc.Port]*ipc.Port
+	// owed maps every proxy whose forwarder has not finished to its
+	// home port, where the proxy still holds its one logical send
+	// right (a retiring proxy has left proxies but is still owed).
+	// Whoever removes an entry, the forwarder's exit or Stop, does the
+	// proxy's accounting and returns its right, so a forwarder that
+	// outlives Stop touches neither counters nor home ports.
+	owed map[*ipc.Port]*ipc.Port
 	// names is this host's slice of the registry: locally checked-in
 	// services by name, as home (unproxied) ports. The references are
 	// weak — the registry holds no counting send right, so a checked-in
@@ -236,17 +249,40 @@ type Server struct {
 	stopped bool
 	// met holds the host's netmsg registry metrics (the stats live
 	// there, not in a private struct: readers load atomics instead of
-	// racing the forwarder goroutines); peerMet caches the per-peer
-	// traffic bundles resolved so far, guarded by mu. base is the
-	// registry state at construction — the hostN.netmsg.* metrics are
-	// process-cumulative, while Stats() keeps its per-server-lifetime
-	// contract by subtracting it.
-	met     *obs.NetmsgMetrics
-	base    Stats
-	peerMet map[machine.HostID]*obs.NetmsgPeerMetrics
+	// racing the forwarder goroutines); peers holds the per-peer state
+	// resolved so far, guarded by mu. base is the registry state at
+	// construction — the hostN.netmsg.* metrics are process-cumulative,
+	// while Stats() keeps its per-server-lifetime contract by
+	// subtracting it.
+	met   *obs.NetmsgMetrics
+	base  Stats
+	peers map[machine.HostID]*peerState
+	// settling counts work taken off the books under mu and finished
+	// outside it (a forwarder's exit, a batch of sender-count returns
+	// being dropped); Stop waits for it.
+	settling sync.WaitGroup
 	// linger overrides proxyLinger (white-box tests set 0 for a
-	// synchronous retire sentinel). Set before any proxy exists.
+	// synchronous retire sentinel and a synchronous, individually
+	// charged sender-count return). Set before any proxy exists.
 	linger time.Duration
+}
+
+// peerState is one server's state toward one remote host: its traffic
+// counters and the sender-count returns waiting to ride the next
+// message that crosses there.
+type peerState struct {
+	met *obs.NetmsgPeerMetrics
+	// pending mirrors len(returns), so deliver's common case — nothing
+	// owed to this peer — is one atomic load and no lock.
+	pending atomic.Int32
+	// returns lists home ports on this peer, each owed one DropSendRef
+	// by a proxy here that retired or died; spare keeps the last
+	// drained batch's backing array for reuse. Guarded by Server.mu.
+	returns, spare []*ipc.Port
+	// flush is the idle-flush timer; armed is set while it is pending.
+	// Guarded by Server.mu.
+	flush *time.Timer
+	armed bool
 }
 
 // cacheEntry is one positive remote lookup result.
@@ -266,6 +302,7 @@ func NewServer(host machine.HostID, topo *machine.Topology, net *Network) (*Serv
 		net:     net,
 		space:   ipc.NewSpace(host, topo),
 		proxies: make(map[*ipc.Port]*ipc.Port),
+		owed:    make(map[*ipc.Port]*ipc.Port),
 		names:   make(map[string]*ipc.Port),
 		cache:   make(map[string]*cacheEntry),
 		dir:     make(map[string]*dirEntry),
@@ -273,7 +310,7 @@ func NewServer(host machine.HostID, topo *machine.Topology, net *Network) (*Serv
 		negWait: make(map[string]map[machine.HostID]bool),
 		linger:  proxyLinger,
 		met:     obs.NetmsgHost(int(host)),
-		peerMet: make(map[machine.HostID]*obs.NetmsgPeerMetrics),
+		peers:   make(map[machine.HostID]*peerState),
 	}
 	s.base = s.loadStats()
 	srv, err := rpc.NewServer(s.space)
@@ -304,7 +341,10 @@ func (s *Server) Publish(dst *ipc.Space) (ipc.Name, error) {
 
 // Stop tears the server down: proxies die (destroying queued rights,
 // notifying local holders), the registry stops answering, and the
-// server detaches from the network.
+// server detaches from the network. Every sender-count return still
+// owed, queued or held by a proxy not yet gone, goes out before Stop
+// returns, one control message per peer owed any; nothing is charged
+// or counted after.
 func (s *Server) Stop() {
 	s.mu.Lock()
 	if s.stopped {
@@ -312,10 +352,37 @@ func (s *Server) Stop() {
 		return
 	}
 	s.stopped = true
+	owed := make(map[machine.HostID]bool)
+	var returns []*ipc.Port
+	for h, pe := range s.peers {
+		if pe.armed {
+			pe.flush.Stop()
+			pe.armed = false
+		}
+		if len(pe.returns) > 0 {
+			owed[h] = true
+			returns = append(returns, pe.returns...)
+			pe.returns = nil
+			pe.pending.Store(0)
+		}
+	}
 	proxies := make([]*ipc.Port, 0, len(s.proxies))
 	for _, pp := range s.proxies {
 		proxies = append(proxies, pp)
 	}
+	for pp, home := range s.owed {
+		if s.proxies[home] == pp {
+			s.met.ProxiesDied.Inc()
+		} else {
+			s.met.ProxiesRetired.Inc() // committed, forwarder not yet out
+		}
+		s.met.Proxies.Add(-1)
+		if !home.Dead() {
+			owed[home.Home()] = true
+			returns = append(returns, home)
+		}
+	}
+	s.owed = nil
 	cache := s.cache
 	s.cache = make(map[string]*cacheEntry)
 	dir := s.dir
@@ -333,6 +400,16 @@ func (s *Server) Stop() {
 	s.net.detach(s)
 	for _, pp := range proxies {
 		pp.Destroy()
+	}
+	s.settling.Wait()
+	if s.topo != nil {
+		for h := range owed {
+			s.topo.ChargeMessage(s.host, h, controlBytes)
+			s.peer(h).met.ControlMsgs.Inc()
+		}
+	}
+	for _, home := range returns {
+		home.DropSendRef()
 	}
 	s.srv.Stop()
 	s.space.Destroy()
@@ -375,17 +452,94 @@ func (s *Server) Stats() Stats {
 	}
 }
 
-// peerMetrics returns (resolving on first use) the traffic bundle for
-// one remote peer.
-func (s *Server) peerMetrics(h machine.HostID) *obs.NetmsgPeerMetrics {
+// peer returns (resolving on first use) the state toward one remote
+// host.
+func (s *Server) peer(h machine.HostID) *peerState {
 	s.mu.Lock()
-	pm := s.peerMet[h]
-	if pm == nil {
-		pm = obs.NetmsgPeer(int(s.host), int(h))
-		s.peerMet[h] = pm
+	pe := s.peerLocked(h)
+	s.mu.Unlock()
+	return pe
+}
+
+func (s *Server) peerLocked(h machine.HostID) *peerState {
+	pe := s.peers[h]
+	if pe == nil {
+		pe = &peerState{met: obs.NetmsgPeer(int(s.host), int(h))}
+		s.peers[h] = pe
+	}
+	return pe
+}
+
+// returnSendRefLocked hands back a retired or dead proxy's one logical
+// send right at home. The sender-count delta is queued for home's host
+// and rides the next message this server forwards there (deliver drops
+// it once that message holds its own references); if nothing crosses
+// within the linger, the idle flush sends the batch as one control
+// message. It reports whether the caller must drop the reference
+// itself, after releasing s.mu: a dead home needs no message, and with
+// no linger the return is charged on its own at once.
+func (s *Server) returnSendRefLocked(home *ipc.Port) (drop bool) {
+	if home.Dead() || s.topo == nil {
+		return true
+	}
+	dst := home.Home()
+	pe := s.peerLocked(dst)
+	if s.linger <= 0 {
+		s.topo.ChargeMessage(s.host, dst, controlBytes)
+		pe.met.ControlMsgs.Inc()
+		return true
+	}
+	pe.returns = append(pe.returns, home)
+	pe.pending.Add(1)
+	if !pe.armed {
+		pe.armed = true
+		if pe.flush == nil {
+			pe.flush = time.AfterFunc(s.linger, func() { s.sendReturns(dst, pe, true) })
+		} else {
+			pe.flush.Reset(s.linger)
+		}
+	}
+	return false
+}
+
+// sendReturns drops every sender-count return owed to dst. Called by
+// deliver, they ride the data message it just sent there; called by
+// the idle-flush timer (idle set), they cost one control message of
+// their own, charged under the lock so it always lands before a
+// concurrent Stop's. The drops run outside the lock (one can fire a
+// no-senders callback that re-enters the server), and the batch's
+// backing array is kept for reuse.
+func (s *Server) sendReturns(dst machine.HostID, pe *peerState, idle bool) {
+	s.mu.Lock()
+	if idle {
+		pe.armed = false
+	} else if pe.armed && pe.flush.Stop() {
+		pe.armed = false
+	}
+	if s.stopped || len(pe.returns) == 0 {
+		// Stop took any that were left and charges them itself.
+		s.mu.Unlock()
+		return
+	}
+	batch := pe.returns
+	pe.returns, pe.spare = pe.spare[:0], nil
+	pe.pending.Store(0)
+	if idle {
+		s.topo.ChargeMessage(s.host, dst, controlBytes)
+		pe.met.ControlMsgs.Inc()
+	}
+	s.settling.Add(1)
+	s.mu.Unlock()
+	for i, home := range batch {
+		home.DropSendRef()
+		batch[i] = nil
+	}
+	s.mu.Lock()
+	if pe.spare == nil {
+		pe.spare = batch[:0]
 	}
 	s.mu.Unlock()
-	return pm
+	s.settling.Done()
 }
 
 // ProxyFor returns the port through which senders on this host reach p:
@@ -402,8 +556,8 @@ func (s *Server) ProxyFor(p *ipc.Port) *ipc.Port {
 }
 
 // proxyFor is ProxyFor reporting whether this call materialized the
-// proxy (the event a peer-initiated translation charges a control
-// message for). Every return is pinned.
+// proxy (the event translate charges a third-party registration for).
+// Every return is pinned.
 func (s *Server) proxyFor(p *ipc.Port) (*ipc.Port, bool) {
 	home := s.net.unproxy(p)
 	if home.Home() == s.host || home.Dead() {
@@ -430,13 +584,15 @@ func (s *Server) proxyFor(p *ipc.Port) (*ipc.Port, bool) {
 	s.net.registerProxy(pp, home)
 	s.proxies[home] = pp
 	pp.AddSendRef() // the caller's pin
-	s.mu.Unlock()
-	s.met.ProxiesCreated.Inc()
-	s.met.Proxies.Add(1)
 	// The proxy holds exactly one logical send right at home for all
 	// its local senders; it is returned when the proxy retires or dies,
 	// so a home port's sender count sums real senders across all hosts.
+	// Taken under the lock, before Stop can settle it.
 	home.AddSendRef()
+	s.owed[pp] = home
+	s.met.ProxiesCreated.Inc()
+	s.met.Proxies.Add(1)
+	s.mu.Unlock()
 	// The proxy follows its home port down, so local holders see the
 	// death as a dead name exactly as holders on the home host do; the
 	// watch is cancelled if the proxy dies first (server stop).
@@ -497,21 +653,29 @@ func (s *Server) scheduleRetire(proxy *ipc.Port) {
 // sentinels).
 func (s *Server) tryRetire(proxy, home *ipc.Port) (retired, rearmed bool) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if proxy.SendRefs() == 0 && proxy.QueueLen() == 0 {
 		if s.proxies[home] == proxy {
 			delete(s.proxies, home)
 		}
+		s.mu.Unlock()
 		return true, false
 	}
+	raced := false
 	if proxy.SendRefs() > 0 {
 		proxy.WatchNoSenders(func(uint32) { s.scheduleRetire(proxy) })
 		if proxy.SendRefs() > 0 {
+			s.mu.Unlock()
 			return false, true
 		}
+		raced = true
+	}
+	s.mu.Unlock()
+	if raced {
 		// The raced drop beat the arm, so no fire will come, and the
 		// queue may already be empty (nothing for the forwarder to
-		// sweep on): one fresh sentinel terminates the cycle.
+		// sweep on): one fresh sentinel terminates the cycle. Queued
+		// after unlocking: with no linger, scheduleRetire posts at once
+		// and takes s.mu itself.
 		s.scheduleRetire(proxy)
 	}
 	return false, false
@@ -562,29 +726,35 @@ func (s *Server) forward(proxy, home *ipc.Port, cancelWatch func()) {
 		}
 	}
 	cancelWatch()
+	s.net.forgetProxy(proxy)
 	s.mu.Lock()
 	if s.proxies[home] == proxy {
 		delete(s.proxies, home)
 	}
+	if _, ok := s.owed[proxy]; !ok {
+		s.mu.Unlock() // Stop settled this proxy
+		return
+	}
+	delete(s.owed, proxy)
+	// Return the proxy's one logical send right at home, piggybacked as
+	// a real netmsgserver does. If it was the last send reference
+	// anywhere, the home port's no-senders fires to its receiver once
+	// the return arrives.
+	drop := s.returnSendRefLocked(home)
+	s.settling.Add(1)
 	s.mu.Unlock()
+	if drop {
+		home.DropSendRef()
+	}
+	// Counted last: once the counters show the proxy gone, its right is
+	// back home or queued to go.
 	if retired {
 		s.met.ProxiesRetired.Inc()
 	} else {
 		s.met.ProxiesDied.Inc()
 	}
 	s.met.Proxies.Add(-1)
-	s.net.forgetProxy(proxy)
-	// Return the proxy's one logical send right at home. The
-	// sender-count delta travels as one control message (piggybacked in
-	// a real netmsgserver; charged explicitly here). If this was the
-	// last send reference anywhere, the home port's no-senders fires to
-	// its receiver.
-	if !home.Dead() && s.topo != nil {
-		dst := home.Home()
-		s.topo.ChargeMessage(s.host, dst, controlBytes)
-		s.peerMetrics(dst).ControlMsgs.Inc()
-	}
-	home.DropSendRef()
+	s.settling.Done()
 }
 
 // deliver translates one proxied message for the home port's host and
@@ -594,9 +764,9 @@ func (s *Server) deliver(home *ipc.Port, m *ipc.Message) error {
 	// Home is read per message: if the receive right migrated since the
 	// proxy was built, traffic follows it.
 	dst := home.Home()
-	pm := s.peerMetrics(dst)
-	pm.Msgs.Inc()
-	pm.Bytes.Add(uint64(m.WireSize()))
+	pe := s.peer(dst)
+	pe.met.Msgs.Inc()
+	pe.met.Bytes.Add(uint64(m.WireSize()))
 	// pins holds the handout references translate takes; they are
 	// dropped once the forwarded message's own transit references (or
 	// its failure path) have taken over.
@@ -628,6 +798,13 @@ func (s *Server) deliver(home *ipc.Port, m *ipc.Message) error {
 	// receive rights destroyed and send references released by RawSend
 	// itself.
 	err := ipc.RawSend(s.topo, s.host, home, fwd, ipc.SendOptions{})
+	// The sender-count returns owed to dst ride this message. They are
+	// dropped only now, after the forwarded copy holds its own transit
+	// references, so a returned right never takes a home port's count
+	// through zero while that right is in flight.
+	if pe.pending.Load() != 0 {
+		s.sendReturns(dst, pe, false)
+	}
 	for _, p := range pins {
 		p.DropSendRef()
 	}
@@ -643,8 +820,10 @@ func (s *Server) deliver(home *ipc.Port, m *ipc.Message) error {
 // through, anything else is re-proxied by dst's message server so the
 // receiver gets a sendable local stand-in. Receive rights always travel
 // as the real port — the queue itself moves, rehoming the port at
-// insertion — and creating a proxy on a peer costs one control message.
-// Any pinned handout is appended to pins for the caller to release.
+// insertion. A proxy for a right homed on this host is set up by the
+// carrying message itself; one for a right homed on a third host costs
+// one control message, dst registering with that home. Any pinned
+// handout is appended to pins for the caller to release.
 func (s *Server) translate(dst machine.HostID, p *ipc.Port, r ipc.Right, pins *[]*ipc.Port) *ipc.Port {
 	if p == nil {
 		return nil
@@ -661,11 +840,13 @@ func (s *Server) translate(dst machine.HostID, p *ipc.Port, r ipc.Right, pins *[
 	}
 	pp, created := peer.proxyFor(home)
 	*pins = append(*pins, pp)
-	if created && peer != s {
-		// Materializing a proxy on the peer's behalf costs one control
-		// message; reusing it is free.
-		s.topo.ChargeMessage(s.host, dst, controlBytes)
-		s.peerMetrics(dst).ControlMsgs.Inc()
+	if h := home.Home(); created && peer != s && h != s.host {
+		// A third-party right: dst's server registers its new proxy
+		// with the right's home host. A right homed here needs no
+		// message of its own — this server sees it leave, and its
+		// descriptor already rides in the carrying message.
+		s.topo.ChargeMessage(dst, h, controlBytes)
+		peer.peer(h).met.ControlMsgs.Inc()
 	}
 	return pp
 }

@@ -31,7 +31,8 @@ type resolution struct {
 	firstObj  *Object
 	firstOff  uint64
 	entryProt Prot
-	readOnly  bool // install read-only even if entry allows writes (COW)
+	readOnly  bool   // install read-only even if entry allows writes (COW)
+	gen       uint64 // the map's gen when the entry was looked up
 }
 
 // resolve performs fault step 1: validity and protection, yielding the
@@ -76,6 +77,7 @@ func (m *Map) resolve(addr uint64, desired Prot) (resolution, error) {
 		firstOff:  oe.offset + (pageAddr - oe.start),
 		entryProt: e.prot,
 		readOnly:  oe.needsCopy,
+		gen:       m.gen,
 	}, nil
 }
 
@@ -181,7 +183,14 @@ func (m *Map) faultOnce(addr uint64, desired Prot) (retry bool, err error) {
 	}
 	mapProt &^= p.lock
 
-	// Step 4/5: reference bits and hardware validation.
+	// Step 4/5: reference bits and hardware validation. If the map
+	// withdrew translations since step 1 (the range was deallocated,
+	// reused or write-protected), what step 1 found may be stale:
+	// re-drive the fault from the address map.
+	if m.gen != res.gen {
+		s.mu.Unlock()
+		return true, nil
+	}
 	p.referenced = true
 	if desired&ProtWrite != 0 {
 		p.dirty = true

@@ -47,6 +47,13 @@ type Map struct {
 
 	entries []*Entry // sorted by start, non-overlapping
 	lo, hi  uint64   // allocatable range
+
+	// gen counts changes that remove or narrow translations (dealloc,
+	// protect, COW write-protect). It is written with both m.mu and
+	// the system lock held, so either lock suffices to read it. A fault
+	// whose address-map lookup saw an older gen retries instead of
+	// entering a translation the change has already withdrawn.
+	gen uint64
 }
 
 // RegionInfo describes one region for vm_regions (Table 3-3).
@@ -269,6 +276,13 @@ func (m *Map) Allocate(addr uint64, size uint64, anywhere bool) (uint64, error) 
 			return 0, ErrNoSpace
 		}
 	}
+	m.insertAnonymous(addr, size)
+	return addr, nil
+}
+
+// insertAnonymous maps a fresh zero-filled object at [addr, addr+size),
+// which must be free. m.mu held.
+func (m *Map) insertAnonymous(addr, size uint64) {
 	obj := m.sys.NewAnonymousObject(size)
 	obj.refs = 1
 	m.insertEntry(&Entry{
@@ -276,7 +290,21 @@ func (m *Map) Allocate(addr uint64, size uint64, anywhere bool) (uint64, error) 
 		prot: ProtDefault, maxProt: ProtAll, inherit: InheritCopy,
 		object: obj,
 	})
-	return addr, nil
+}
+
+// withdraw removes or narrows the translations of virtual pages
+// [first, last] and bumps gen, so no fault in flight re-enters what was
+// withdrawn. m.mu held: the range cannot be reused before the pmap
+// agrees with the entry list.
+func (m *Map) withdraw(first, last uint64, prot Prot) {
+	m.sys.mu.Lock()
+	m.gen++
+	if prot == ProtNone {
+		m.pmap.remove(first, last)
+	} else {
+		m.pmap.protect(first, last, prot)
+	}
+	m.sys.mu.Unlock()
 }
 
 // AllocateWithObject maps a memory object into the address space
@@ -332,12 +360,10 @@ func (m *Map) Deallocate(addr, size uint64) error {
 	removed := make([]*Entry, j-i)
 	copy(removed, m.entries[i:j])
 	m.entries = append(m.entries[:i], m.entries[j:]...)
+	ps := m.sys.PageSize()
+	m.withdraw(addr/ps, (addr+size)/ps-1, ProtNone)
 	m.mu.Unlock()
 
-	ps := m.sys.PageSize()
-	m.sys.mu.Lock()
-	m.pmap.remove(addr/ps, (addr+size)/ps-1)
-	m.sys.mu.Unlock()
 	for _, e := range removed {
 		m.derefTarget(e)
 	}
@@ -367,12 +393,9 @@ func (m *Map) Protect(addr, size uint64, setMax bool, prot Prot) error {
 			e.prot = prot
 		}
 	}
-	m.mu.Unlock()
-
 	ps := m.sys.PageSize()
-	m.sys.mu.Lock()
-	m.pmap.protect(addr/ps, (addr+size)/ps-1, prot)
-	m.sys.mu.Unlock()
+	m.withdraw(addr/ps, (addr+size)/ps-1, prot)
+	m.mu.Unlock()
 	return nil
 }
 
@@ -468,9 +491,7 @@ func (m *Map) Fork() *Map {
 			// Write-protect the parent's existing translations so its
 			// next write faults and shadows.
 			ps := m.sys.PageSize()
-			m.sys.mu.Lock()
-			m.pmap.protect(e.start/ps, e.end/ps-1, ProtAll&^ProtWrite)
-			m.sys.mu.Unlock()
+			m.withdraw(e.start/ps, e.end/ps-1, ProtAll&^ProtWrite)
 		}
 	}
 	m.mu.Unlock()
@@ -492,26 +513,21 @@ func (m *Map) Fork() *Map {
 // of this map into dst at a freshly allocated address, returning that
 // address. This is the engine of out-of-line message transfer and of
 // vm_copy: no data moves until one side writes (§1, §3.3).
+//
+// The destination range is chosen and filled in one dst.mu critical
+// section, so concurrent copies into a shared map (the kernel transit
+// map) never pick the same range.
 func (m *Map) CopyRegionTo(dst *Map, srcAddr, size uint64) (uint64, error) {
 	size = m.sys.round(size)
-	if err := func() error {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		return m.checkRange(srcAddr, size)
-	}(); err != nil {
-		return 0, err
-	}
-
-	dst.mu.Lock()
-	dstAddr, err := dst.findSpace(size)
-	dst.mu.Unlock()
-	if err != nil {
-		return 0, err
-	}
-
-	var eager []struct{ src, dst, size uint64 }
-
+	// Snapshot the source as entries at offsets from srcAddr. Shared
+	// regions are copied eagerly once the destination range is held.
+	type eagerCopy struct{ src, delta, size uint64 }
+	var eager []eagerCopy
 	m.mu.Lock()
+	if err := m.checkRange(srcAddr, size); err != nil {
+		m.mu.Unlock()
+		return 0, err
+	}
 	i, j := m.clipRange(srcAddr, srcAddr+size)
 	if !coversRange(m.entries[i:j], srcAddr, srcAddr+size) {
 		m.mu.Unlock()
@@ -522,46 +538,47 @@ func (m *Map) CopyRegionTo(dst *Map, srcAddr, size uint64) (uint64, error) {
 	for _, e := range m.entries[i:j] {
 		delta := e.start - srcAddr
 		if e.sharing != nil {
-			eager = append(eager, struct{ src, dst, size uint64 }{e.start, dstAddr + delta, e.end - e.start})
+			eager = append(eager, eagerCopy{e.start, delta, e.end - e.start})
 			continue
 		}
 		ce := &Entry{
-			start: dstAddr + delta, end: dstAddr + delta + (e.end - e.start),
+			start: delta, end: delta + (e.end - e.start),
 			prot: e.prot, maxProt: e.maxProt, inherit: e.inherit,
 			object: e.object, offset: e.offset,
 			needsCopy: true,
 		}
 		m.sys.ObjectRef(e.object)
 		e.needsCopy = true
-		m.sys.mu.Lock()
-		m.pmap.protect(e.start/ps, e.end/ps-1, ProtAll&^ProtWrite)
-		m.sys.mu.Unlock()
+		m.withdraw(e.start/ps, e.end/ps-1, ProtAll&^ProtWrite)
 		newEntries = append(newEntries, ce)
 	}
 	m.mu.Unlock()
 
 	dst.mu.Lock()
-	if !dst.rangeFree(dstAddr, dstAddr+size) {
+	dstAddr, err := dst.findSpace(size)
+	if err != nil {
 		dst.mu.Unlock()
 		for _, e := range newEntries {
 			dst.derefTarget(e)
 		}
-		return 0, ErrNoSpace
+		return 0, err
 	}
 	for _, e := range newEntries {
+		e.start += dstAddr
+		e.end += dstAddr
 		dst.insertEntry(e)
+	}
+	for _, ec := range eager {
+		dst.insertAnonymous(dstAddr+ec.delta, ec.size)
 	}
 	dst.mu.Unlock()
 
 	for _, ec := range eager {
-		if _, err := dst.Allocate(ec.dst, ec.size, false); err != nil {
-			return 0, err
-		}
 		buf := make([]byte, ec.size)
 		if err := m.ReadBytes(ec.src, buf); err != nil {
 			return 0, err
 		}
-		if err := dst.WriteBytes(ec.dst, buf); err != nil {
+		if err := dst.WriteBytes(dstAddr+ec.delta, buf); err != nil {
 			return 0, err
 		}
 	}
@@ -583,12 +600,9 @@ func (m *Map) Destroy() {
 	m.mu.Lock()
 	entries := m.entries
 	m.entries = nil
-	lo, hi := m.lo, m.hi
-	m.mu.Unlock()
 	ps := m.sys.PageSize()
-	m.sys.mu.Lock()
-	m.pmap.remove(lo/ps, hi/ps-1)
-	m.sys.mu.Unlock()
+	m.withdraw(m.lo/ps, m.hi/ps-1, ProtNone)
+	m.mu.Unlock()
 	for _, e := range entries {
 		m.derefTarget(e)
 	}

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"bytes"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -858,5 +859,87 @@ func TestCOWMatchesReferenceModel(t *testing.T) {
 	}
 	if !bytes.Equal(gotC, refC) {
 		t.Fatal("child diverged from reference model")
+	}
+}
+
+// Concurrent out-of-line transfers through one shared transit map, as
+// the kernel does them: each worker copies a page of its own map into
+// the transit map, reads it there, copies it back out and frees the
+// transit range. Ranges are reused at once, so a copy that picked a
+// range another copy also picked (ErrNoSpace), or a read through a
+// translation left over from a freed range (wrong byte), shows up here.
+// Run it with -cpu=1,4 to exercise the multi-core interleavings.
+func TestTransitMapConcurrentCopies(t *testing.T) {
+	s := newTestSystem(t)
+	transit := s.NewMap(mapLo, mapHi)
+	const (
+		workers = 8
+		iters   = 50
+	)
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			task := s.NewMap(mapLo, mapHi)
+			defer task.Destroy()
+			for i := 0; i < iters; i++ {
+				tag := byte(w*iters + i)
+				addr, err := task.Allocate(0, testPageSize, true)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if err := task.WriteBytes(addr, []byte{tag}); err != nil {
+					errs <- err
+					return
+				}
+				taddr, err := task.CopyRegionTo(transit, addr, testPageSize)
+				if err != nil {
+					errs <- fmt.Errorf("worker %d iter %d: copy in: %w", w, i, err)
+					return
+				}
+				if err := task.Deallocate(addr, testPageSize); err != nil {
+					errs <- err
+					return
+				}
+				var b [1]byte
+				if err := transit.ReadBytes(taddr, b[:]); err != nil {
+					errs <- err
+					return
+				}
+				if b[0] != tag {
+					errs <- fmt.Errorf("worker %d iter %d: transit byte %d want %d", w, i, b[0], tag)
+					return
+				}
+				back, err := transit.CopyRegionTo(task, taddr, testPageSize)
+				if err != nil {
+					errs <- fmt.Errorf("worker %d iter %d: copy out: %w", w, i, err)
+					return
+				}
+				if err := transit.Deallocate(taddr, testPageSize); err != nil {
+					errs <- err
+					return
+				}
+				if err := task.ReadBytes(back, b[:]); err != nil {
+					errs <- err
+					return
+				}
+				if b[0] != tag {
+					errs <- fmt.Errorf("worker %d iter %d: received byte %d want %d", w, i, b[0], tag)
+					return
+				}
+				if err := task.Deallocate(back, testPageSize); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
