@@ -44,11 +44,10 @@ fmt-check:
 test:
 	$(GO) test ./...
 
-# test-multicore reruns the memory-half packages, and netmsg whose
-# cross-host OOL stress leans on the shared transit map, at GOMAXPROCS 1
-# and 4.
+# test-multicore reruns every package at GOMAXPROCS 1 and 4, so tier-1
+# holds on a multicore scheduler as well as on one core.
 test-multicore:
-	$(GO) test -count=1 -cpu=1,4 ./internal/fs ./internal/vm ./internal/kern ./internal/pager ./internal/netmsg
+	$(GO) test -count=1 -cpu=1,4 ./...
 
 race:
 	$(GO) test -race ./...

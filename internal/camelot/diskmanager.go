@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/ipc"
 	"repro/internal/kern"
-	"repro/internal/lifecycle"
 	"repro/internal/machine"
 	"repro/internal/pager"
 	"repro/internal/rpc"
@@ -66,7 +65,6 @@ type DiskManager struct {
 	task   *kern.Task
 	mgr    *pager.Manager
 	rpc    *rpc.Server
-	lc     *lifecycle.Watcher
 
 	// dataDisk holds recoverable segment pages: a simulated
 	// machine.Disk, or a FileVolume / FramePool for a durable manager.
@@ -124,26 +122,12 @@ func newManager(k *kern.Kernel, dataDisk pager.BlockStore, wal *WAL) (*DiskManag
 		pageLSN:  make(map[uint64]uint64),
 		outcomes: make(map[uint64]recordKind),
 	}
-	dm.mgr = pager.NewManager(dm.task.Space, (*dmHandler)(dm))
 	// Segment object ports, the notify port and the service port share
-	// one port set drained by the single manager goroutine.
-	if err := dm.mgr.UsePortSet(); err != nil {
-		return nil, err
-	}
-	srv, err := rpc.NewServer(dm.task.Space)
-	if err != nil {
-		return nil, err
-	}
-	RegisterCamelotServer(srv, (*dmService)(dm))
-	dm.rpc = srv
-	// Lifecycle notifications (segment no-senders) are consumed ahead
-	// of the service demux; both run on the manager loop.
-	dm.lc = lifecycle.New(dm.task.Space)
-	dm.mgr.Default = dm.lc.Chain(srv.Dispatch)
-	dm.ServicePort = srv.Port
-	if err := dm.mgr.Adopt(srv.Port); err != nil {
-		return nil, err
-	}
+	// the manager's one loop.
+	dm.mgr = pager.NewManager(dm.task.Space, (*dmHandler)(dm))
+	dm.rpc = dm.mgr.Server()
+	RegisterCamelotServer(dm.rpc, (*dmService)(dm))
+	dm.ServicePort = dm.rpc.Port
 	return dm, nil
 }
 
@@ -352,7 +336,7 @@ func (h *dmService) AttachSegment(m *ipc.Message, in *AttachSegmentRequest) (*At
 	// page-LSN tracking for the segment is dropped. Recovery rolls the
 	// loser back — the kill-the-client path is just crash recovery in
 	// miniature.
-	if err := dm.lc.OnNoSenders(seg.mo.Port, dm.reapSegment); err != nil {
+	if err := dm.rpc.Watcher().OnNoSenders(seg.mo.Port, dm.reapSegment); err != nil {
 		return nil, err
 	}
 	return &AttachSegmentReply{Size: seg.size, ID: seg.id, Object: seg.mo.Port}, nil

@@ -1,0 +1,108 @@
+package camelot
+
+import (
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/ipc"
+	"repro/internal/kern"
+	"repro/internal/machine"
+	"repro/internal/pager"
+	"repro/internal/rpc"
+	"repro/internal/vm"
+)
+
+// goroutines records the goroutine each probed call runs on.
+type goroutines struct {
+	mu   sync.Mutex
+	seen map[string]bool
+}
+
+func (g *goroutines) mark() {
+	buf := make([]byte, 64)
+	id := strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1]
+	g.mu.Lock()
+	g.seen[id] = true
+	g.mu.Unlock()
+}
+
+// probedPager records the goroutine of the data requests it forwards.
+type probedPager struct {
+	pager.Handler
+	g *goroutines
+}
+
+func (h probedPager) DataRequest(mo *pager.MemoryObject, off, n uint64, prot vm.Prot) {
+	h.g.mark()
+	h.Handler.DataRequest(mo, off, n, prot)
+}
+
+// TestServesFromOneGoroutine: service calls, the kernel's pager calls
+// and lifecycle notifications all run on the disk manager's one loop.
+func TestServesFromOneGoroutine(t *testing.T) {
+	k := kern.NewKernel(kern.Config{Frames: 256, PageSize: pgsz})
+	t.Cleanup(k.Shutdown)
+	dm, err := NewDiskManager(k,
+		machine.NewDisk(1024, pgsz, machine.DefaultDiskLatency, k.Clock()),
+		machine.NewDisk(4096, pgsz, machine.DefaultDiskLatency, k.Clock()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := &goroutines{seen: map[string]bool{}}
+	dm.mgr.Handler = probedPager{dm.mgr.Handler, g}
+	dm.rpc.Handle(9000, func(*ipc.Message, *rpc.Dec) (*rpc.Reply, error) {
+		g.mark()
+		return rpc.NewReply(), nil
+	})
+	go dm.Run()
+	t.Cleanup(dm.Stop)
+
+	app := k.NewTask()
+	svc, err := dm.Publish(app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rpc.NewClient(app.Space, svc, 5*time.Second).Invoke(9000, nil); err != nil {
+		t.Fatal(err)
+	}
+	c := Open(app, svc)
+	if err := c.CreateSegment("s", pgsz); err != nil {
+		t.Fatal(err)
+	}
+	seg, err := c.Attach("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := seg.Read(0, 8); err != nil {
+		t.Fatal(err)
+	}
+	// A no-senders notification, fed by the same loop.
+	fired := make(chan struct{})
+	port, err := dm.task.Space.AllocatePort()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dm.rpc.Watcher().OnNoSenders(port, func(ipc.Name) { g.mark(); close(fired) }); err != nil {
+		t.Fatal(err)
+	}
+	n, err := dm.task.Space.CopySendRight(app.Space, port)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := app.Space.DeallocatePort(n); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-fired:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no-senders notification never served")
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if len(g.seen) != 1 {
+		t.Fatalf("disk manager served from %d goroutines, want 1", len(g.seen))
+	}
+}

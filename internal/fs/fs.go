@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/ipc"
 	"repro/internal/kern"
-	"repro/internal/lifecycle"
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/pager"
@@ -76,7 +75,6 @@ type Server struct {
 	mgr    *pager.Manager
 	disk   *machine.Disk
 	rpc    *rpc.Server
-	lc     *lifecycle.Watcher
 	obs    *obs.FSMetrics
 
 	// supplyMu orders page supply against rewrites. A supplier holds it
@@ -116,28 +114,13 @@ func NewServer(k *kern.Kernel, disk *machine.Disk) (*Server, error) {
 		files:    make(map[string]*file),
 		sessions: make(map[ipc.Name]*session),
 	}
+	// One receive point for many ports (§4-§5 server shape): the pager
+	// calls on object ports, the service calls and the open-handle
+	// no-senders notifications all reach the manager's one loop.
 	s.mgr = pager.NewManager(s.task.Space, (*serverHandler)(s))
-	// One receive point for many ports: object ports, the notify port
-	// and the service port are members of one port set, received with
-	// fair rotation by the single manager goroutine (§4-§5 server
-	// shape).
-	if err := s.mgr.UsePortSet(); err != nil {
-		return nil, err
-	}
-	srv, err := rpc.NewServer(s.task.Space)
-	if err != nil {
-		return nil, err
-	}
-	RegisterFSServer(srv, (*fsService)(s))
-	s.rpc = srv
-	// Lifecycle notifications (open-handle no-senders) are consumed
-	// ahead of the service demux; both run on the manager loop.
-	s.lc = lifecycle.New(s.task.Space)
-	s.mgr.Default = s.lc.Chain(srv.Dispatch)
-	s.ServicePort = srv.Port
-	if err := s.mgr.Adopt(srv.Port); err != nil {
-		return nil, err
-	}
+	s.rpc = s.mgr.Server()
+	RegisterFSServer(s.rpc, (*fsService)(s))
+	s.ServicePort = s.rpc.Port
 	return s, nil
 }
 
@@ -454,7 +437,7 @@ func (h *fsService) Open(m *ipc.Message, in *OpenRequest) (*OpenReply, error) {
 	s.mu.Lock()
 	s.sessions[sp] = &session{f: f, port: sp}
 	s.mu.Unlock()
-	if err := s.lc.OnNoSenders(sp, s.reapSession); err != nil {
+	if err := s.rpc.Watcher().OnNoSenders(sp, s.reapSession); err != nil {
 		s.mu.Lock()
 		delete(s.sessions, sp)
 		s.mu.Unlock()

@@ -162,11 +162,13 @@ func (k *Kernel) bootDefaultPager(store pager.BlockStore) {
 	k.dpSpace = ipc.NewSpace(k.host, k.topo)
 	k.dp = pager.NewDefaultPagerStore(store)
 	k.dpMgr = pager.NewManager(k.dpSpace, k.dp)
+	// The boot port is where the kernel sends pager_create, and the only
+	// port the manager accepts it on.
 	boot, err := k.dpSpace.AllocatePort()
 	if err != nil {
 		panic("kern: default pager bootstrap: " + err.Error())
 	}
-	if err := k.dpSpace.Enable(boot); err != nil {
+	if err := k.dpMgr.AcceptCreates(boot); err != nil {
 		panic("kern: default pager bootstrap: " + err.Error())
 	}
 	bootPort, err := k.dpSpace.Resolve(boot)

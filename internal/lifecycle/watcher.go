@@ -1,5 +1,5 @@
 // Package lifecycle is the consumer layer over the ipc port-lifecycle
-// machinery: it drains a space's kernel notifications — port death
+// machinery: it takes a space's kernel notifications — port death
 // (ipc.MsgIDPortDeleted) and no-more-senders (ipc.MsgIDNoSenders) — and
 // dispatches them to per-name callbacks.
 //
@@ -12,15 +12,11 @@
 // rights outside their notification loop must tolerate a freshly handed
 // out right naming already-reaped state.)
 //
-// A Watcher integrates in one of two ways:
-//
-//   - Run (own goroutine): receives on the space's notify port. Use for
-//     spaces where no other loop consumes notifications (plain
-//     rpc.Server tasks).
-//   - Dispatch (embedded): servers whose manager loop receives with
-//     ReceiveAny — fs, netmem, camelot — chain the watcher ahead of
-//     their application demux: Default = func(m) { if !w.Dispatch(m) {
-//     srv.Dispatch(m) } }.
+// A Watcher has no receive loop of its own. It is fed by the loop that
+// owns its space's notify port: rpc.Server.Watcher moves the notify
+// port into the server's port set, and the server's one loop hands
+// every message from it to Dispatch (fs, netmem, camelot and every
+// other server get their notifications this way).
 package lifecycle
 
 import (
@@ -29,13 +25,9 @@ import (
 	"repro/internal/ipc"
 )
 
-// msgWatcherStop is the private wakeup a Stop call sends to unblock a
-// Run loop parked on the notify port.
-const msgWatcherStop ipc.MsgID = -150
-
 // Watcher dispatches one space's lifecycle notifications to registered
 // callbacks. Callbacks run on the goroutine that calls Dispatch (the
-// Run loop, or the embedding manager loop).
+// owning server's loop).
 type Watcher struct {
 	space *ipc.Space
 
@@ -43,7 +35,6 @@ type Watcher struct {
 	deaths    map[ipc.Name]func(ipc.Name)
 	noSenders map[ipc.Name]func(ipc.Name)
 	deadNames map[ipc.Name]func(ipc.Name)
-	stopped   bool
 }
 
 // New creates a watcher over a space's notifications. Use at most one
@@ -62,10 +53,14 @@ func (w *Watcher) Space() *ipc.Space { return w.space }
 
 // OnPortDeath registers fn to run once when the named right's port dies
 // (the space must hold a send right for the kernel to notify it).
-// Registering again replaces the callback.
+// Registering again replaces the callback; registering nil cancels it.
 func (w *Watcher) OnPortDeath(n ipc.Name, fn func(ipc.Name)) {
 	w.mu.Lock()
-	w.deaths[n] = fn
+	if fn == nil {
+		delete(w.deaths, n)
+	} else {
+		w.deaths[n] = fn
+	}
 	w.mu.Unlock()
 }
 
@@ -187,57 +182,4 @@ func (w *Watcher) Dispatch(m *ipc.Message) bool {
 		return true
 	}
 	return false
-}
-
-// Chain returns a dispatch function that consumes lifecycle
-// notifications and hands everything else to next — the canonical
-// manager-loop integration:
-//
-//	mgr.Default = w.Chain(srv.Dispatch)
-func (w *Watcher) Chain(next func(*ipc.Message)) func(*ipc.Message) {
-	return func(m *ipc.Message) {
-		if !w.Dispatch(m) {
-			next(m)
-		}
-	}
-}
-
-// Run receives on the space's notify port and dispatches until Stop is
-// called or the space dies. Only use it when no other loop receives the
-// space's notifications (a manager loop's ReceiveAny would race it);
-// embedded servers use Dispatch instead.
-func (w *Watcher) Run() {
-	notify := w.space.NotifyPort()
-	for {
-		m, err := w.space.Receive(notify, ipc.ReceiveOptions{})
-		if err != nil {
-			return
-		}
-		if m.ID == msgWatcherStop {
-			w.mu.Lock()
-			stopped := w.stopped
-			w.mu.Unlock()
-			if stopped {
-				return
-			}
-			continue
-		}
-		w.Dispatch(m)
-	}
-}
-
-// Stop wakes and terminates a Run loop. Dispatch-mode watchers need no
-// Stop.
-func (w *Watcher) Stop() {
-	w.mu.Lock()
-	if w.stopped {
-		w.mu.Unlock()
-		return
-	}
-	w.stopped = true
-	w.mu.Unlock()
-	// The space holds a send right to its own notify port, so the
-	// wakeup is an ordinary (forced) self-send; if the space is already
-	// dead the Run loop has exited on its own.
-	_ = w.space.Send(&ipc.Message{ID: msgWatcherStop, RemotePort: w.space.NotifyPort()}, ipc.SendOptions{Force: true})
 }

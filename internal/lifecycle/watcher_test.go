@@ -23,13 +23,30 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-// TestWatcherRunNoSenders: a Run-mode watcher fires the callback when a
-// client task dies holding the last send right.
+// feed stands in for the server loop that owns a watcher
+// (rpc.Server.Watcher): it hands every notify-port message to Dispatch
+// until the space dies at test cleanup.
+func feed(t *testing.T, w *Watcher) {
+	s := w.Space()
+	t.Cleanup(s.Destroy)
+	go func() {
+		for {
+			m, err := s.Receive(s.NotifyPort(), ipc.ReceiveOptions{})
+			if err != nil {
+				return
+			}
+			w.Dispatch(m)
+			m.Release()
+		}
+	}()
+}
+
+// TestWatcherRunNoSenders: a watcher fed by a receive loop fires the
+// callback when a client task dies holding the last send right.
 func TestWatcherRunNoSenders(t *testing.T) {
 	server := newSpace()
 	w := New(server)
-	go w.Run()
-	defer w.Stop()
+	feed(t, w)
 
 	n, err := server.AllocatePort()
 	if err != nil {
@@ -167,20 +184,5 @@ func TestWatcherIgnoresForgedNotifications(t *testing.T) {
 	}
 	if !w.Dispatch(m) || died.Load() != 1 {
 		t.Fatalf("real death after forgery attempt: fired=%d", died.Load())
-	}
-}
-
-// TestWatcherStop: Stop unblocks a Run loop promptly.
-func TestWatcherStop(t *testing.T) {
-	s := newSpace()
-	w := New(s)
-	done := make(chan struct{})
-	go func() { w.Run(); close(done) }()
-	time.Sleep(5 * time.Millisecond)
-	w.Stop()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("Run did not stop")
 	}
 }

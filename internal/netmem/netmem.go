@@ -24,7 +24,6 @@ import (
 
 	"repro/internal/ipc"
 	"repro/internal/kern"
-	"repro/internal/lifecycle"
 	"repro/internal/pager"
 	"repro/internal/rpc"
 	"repro/internal/vm"
@@ -108,7 +107,6 @@ type Server struct {
 	task   *kern.Task
 	mgr    *pager.Manager
 	rpc    *rpc.Server
-	lc     *lifecycle.Watcher
 
 	mu        sync.Mutex
 	regions   map[string]*region
@@ -131,30 +129,16 @@ func NewServer(k *kern.Kernel) (*Server, error) {
 		byAckPort: make(map[ipc.Name]*region),
 		byObject:  make(map[ipc.Name]*region),
 	}
-	s.mgr = pager.NewManager(s.task.Space, (*handler)(s))
 	// Region object ports, ack ports, the notify port and the service
-	// port all join the manager's port set: one receive point, fair
-	// rotation, one goroutine.
-	if err := s.mgr.UsePortSet(); err != nil {
-		return nil, err
-	}
-	srv, err := rpc.NewServer(s.task.Space)
-	if err != nil {
-		return nil, err
-	}
-	RegisterNetMemServer(srv, (*service)(s))
-	// Flush acknowledgements are one-way kernel notifications arriving
-	// on the regions' ack ports; they share the manager loop's demux.
-	srv.Handle(pager.MsgLockCompleted, s.handleFlushAck)
-	s.rpc = srv
-	// Lifecycle notifications (region no-senders) are consumed ahead of
-	// the service demux; both run on the manager loop.
-	s.lc = lifecycle.New(s.task.Space)
-	s.mgr.Default = s.lc.Chain(srv.Dispatch)
-	s.ServicePort = srv.Port
-	if err := s.mgr.Adopt(srv.Port); err != nil {
-		return nil, err
-	}
+	// port all belong to the manager's one loop: one receive point,
+	// fair rotation, one goroutine.
+	s.mgr = pager.NewManager(s.task.Space, (*handler)(s))
+	s.rpc = s.mgr.Server()
+	RegisterNetMemServer(s.rpc, (*service)(s))
+	// Flush acknowledgements are one-way kernel calls arriving on the
+	// regions' ack ports.
+	s.rpc.HandleOneWay(pager.MsgLockCompleted, s.handleFlushAck)
+	s.ServicePort = s.rpc.Port
 	return s, nil
 }
 
@@ -209,7 +193,7 @@ func (s *Server) createRegion(name string, size uint64) error {
 	if err != nil {
 		return err
 	}
-	if err := s.mgr.Adopt(ack); err != nil {
+	if err := s.rpc.Adopt(ack); err != nil {
 		return err
 	}
 	r.ackPort = ack
@@ -247,7 +231,7 @@ func (h *service) AttachRegion(m *ipc.Message, in *AttachRegionRequest) (*Attach
 	// attach time — never at create — means a region lives until it has
 	// been attached at least once and every attachment right has died,
 	// whether by explicit deallocation or the client task's death.
-	if err := s.lc.OnNoSenders(r.object.Port, s.reapRegion); err != nil {
+	if err := s.rpc.Watcher().OnNoSenders(r.object.Port, s.reapRegion); err != nil {
 		return nil, err
 	}
 	return &AttachRegionReply{Size: r.size, Object: r.object.Port}, nil
@@ -371,25 +355,24 @@ func (h *handler) PortDeath(mo *pager.MemoryObject) {
 
 // handleFlushAck: the kernel finished processing an invalidation. It is
 // a one-way notification (no reply is ever sent).
-func (s *Server) handleFlushAck(m *ipc.Message, d *rpc.Dec) (*rpc.Reply, error) {
+func (s *Server) handleFlushAck(m *ipc.Message) {
 	s.mu.Lock()
 	r := s.byAckPort[m.LocalPort]
 	s.mu.Unlock()
 	if r == nil {
-		return nil, nil
+		return
 	}
 	offset, _, _, wrote, _, ok := pager.DecodePayload(m.InlineData())
 	if !ok {
-		return nil, nil
+		return
 	}
 	p := r.pages[offset]
 	if p == nil {
-		return nil, nil
+		return
 	}
 	p.acksOut--
 	p.writesExp += int(wrote)
 	(*handler)(s).completeIfDone(r, p)
-	return nil, nil
 }
 
 // dispatch runs one event against the page state machine, deferring it if

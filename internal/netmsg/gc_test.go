@@ -59,7 +59,7 @@ func TestCrossHostProxyGCAndNoSenders(t *testing.T) {
 	// Arm after bootstrap: the registry's check-in is weak (it holds no
 	// counting right), so from here the server lives exactly as long as
 	// some real client right exists somewhere.
-	if err := srv.StopWhenUnreferenced(nil); err != nil {
+	if err := srv.StopWhenUnreferenced(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -119,7 +119,7 @@ func TestProxySurvivesOtherClients(t *testing.T) {
 	go srv.Run()
 	t.Cleanup(srv.Stop)
 	checkIn(t, serverTask, "ping-gc", srv.Port)
-	if err := srv.StopWhenUnreferenced(nil); err != nil {
+	if err := srv.StopWhenUnreferenced(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -221,7 +221,7 @@ func TestRegistryCheckInIsWeak(t *testing.T) {
 	go srv.Run()
 	t.Cleanup(srv.Stop)
 	checkIn(t, serverTask, "weak", srv.Port)
-	if err := srv.StopWhenUnreferenced(nil); err != nil {
+	if err := srv.StopWhenUnreferenced(); err != nil {
 		t.Fatal(err)
 	}
 

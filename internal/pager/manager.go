@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/ipc"
+	"repro/internal/rpc"
 	"repro/internal/vm"
 )
 
@@ -112,7 +113,8 @@ func (mo *MemoryObject) DataUnavailable(offset, size uint64) error {
 }
 
 // Handler is what a data manager implements: the kernel-to-manager calls
-// of Table 3-5, delivered by the Manager's service loop.
+// of Table 3-5, delivered by the Manager's service loop. A call's data
+// is valid only until it returns.
 type Handler interface {
 	// PagerInit is called when a kernel maps the object for the first
 	// time (pager_init). mo.Request is valid from here on.
@@ -136,85 +138,79 @@ type Handler interface {
 	PortDeath(mo *MemoryObject)
 }
 
-// Manager is the service loop of a data-manager task: it receives the
-// kernel's calls on the task's memory object ports and dispatches them to
-// a Handler. Application-level messages (anything that is not a pager
-// call) go to Default.
+// Manager is a data-manager task's side of the pager protocol: it
+// decodes the kernel's calls on the task's memory object ports and hands
+// them to a Handler. The calls are one-way handlers on the task's
+// rpc.Server — the paper's duality: a memory-object call is an ordinary
+// message to an ordinary server — so one receive loop serves them
+// together with the task's own service protocol and its lifecycle
+// notifications.
 type Manager struct {
 	// Space is the manager task's port name space.
 	Space *ipc.Space
 	// Handler receives the decoded pager interface calls.
 	Handler Handler
-	// Default, if set, receives non-pager messages (the manager task's
-	// own service protocol).
-	Default func(*ipc.Message)
+
+	srv *rpc.Server
 
 	mu        sync.Mutex
 	byPort    map[ipc.Name]*MemoryObject // memory object port -> object
 	byRequest map[ipc.Name]*MemoryObject // request port -> object
-	stopped   bool
-
-	// set, when non-zero, is the port set the service loop receives
-	// from instead of scanning the default group (see UsePortSet).
-	set ipc.Name
+	// createPort is the one port pager_create is honoured on (see
+	// AcceptCreates); 0 refuses every pager_create.
+	createPort ipc.Name
 }
 
-// NewManager wraps a space and handler into a manager service loop
-// context. Call Run (usually in its own goroutine) to start serving.
+// NewManager builds the manager of a data-manager task on a fresh
+// rpc.Server over space, with the pager calls installed. Register the
+// task's own services on Server(), then call Run (usually in its own
+// goroutine). The space must be live.
 func NewManager(space *ipc.Space, h Handler) *Manager {
-	return &Manager{
+	srv, err := rpc.NewServer(space)
+	if err != nil {
+		panic("pager: NewManager: " + err.Error())
+	}
+	m := &Manager{
 		Space:     space,
 		Handler:   h,
+		srv:       srv,
 		byPort:    make(map[ipc.Name]*MemoryObject),
 		byRequest: make(map[ipc.Name]*MemoryObject),
 	}
-}
-
-// UsePortSet switches the service loop from the default-group scan
-// (ReceiveAny) to a kernel port set: the space's notify port moves into
-// the set immediately, object ports join it as they are created, and
-// Run receives from the set with fair round-robin across the members —
-// one receive point for many ports, the paper's server shape, with a
-// flooded object port unable to starve the rest. Call it right after
-// NewManager, before Run and before the first NewObject. Ports enabled
-// on the space by OTHER code stop reaching the loop (a set receive sees
-// only members); adopt them with Adopt — the embedded rpc service port
-// of fs/netmem/camelot-style servers is the usual case.
-func (m *Manager) UsePortSet() error {
-	set, err := m.Space.AllocatePortSet()
-	if err != nil {
-		return err
+	srv.HandleOneWay(MsgPagerInit, m.handleInit)
+	srv.HandleOneWay(MsgPagerCreate, m.handleCreate)
+	for _, id := range []ipc.MsgID{MsgDataRequest, MsgDataWrite, MsgDataUnlock} {
+		srv.HandleOneWay(id, m.handleData)
 	}
-	m.mu.Lock()
-	m.set = set
-	m.mu.Unlock()
-	return m.Space.MoveToPortSet(set, m.Space.NotifyPort())
+	return m
 }
 
-// Adopt moves a receive right (a service port, an ack port) into the
-// manager's port set so its messages reach the Run loop. No-op details:
-// in default-group mode it falls back to Enable, so callers need not
-// care which mode the manager runs in.
-func (m *Manager) Adopt(n ipc.Name) error {
+// Server returns the manager task's receive loop: the rpc.Server whose
+// port set holds the task's memory object ports.
+func (m *Manager) Server() *rpc.Server { return m.srv }
+
+// AcceptCreates makes port, a receive right in the manager's space, the
+// one port pager_create is honoured on, and adopts it into the loop.
+// The kernel hands its default pager the boot port this way; a
+// pager_create arriving anywhere else (a client forging one at a
+// service or object port) is ignored.
+func (m *Manager) AcceptCreates(port ipc.Name) error {
 	m.mu.Lock()
-	set := m.set
+	m.createPort = port
 	m.mu.Unlock()
-	if set == 0 {
-		return m.Space.Enable(n)
-	}
-	return m.Space.MoveToPortSet(set, n)
+	return m.srv.Adopt(port)
 }
 
-// NewObject allocates a fresh memory object port, enables it for the
-// service loop (or moves it into the manager's port set), and registers
-// it. The returned MemoryObject has no request port until a kernel maps
-// it (PagerInit). The send right to hand to clients is the Port name.
+// NewObject allocates a fresh memory object port, adopts it into the
+// manager's loop, and registers it. The returned MemoryObject has no
+// request port until a kernel maps it (PagerInit). The send right to
+// hand to clients is the Port name.
 func (m *Manager) NewObject(tag any) (*MemoryObject, error) {
 	n, err := m.Space.AllocatePort()
 	if err != nil {
 		return nil, err
 	}
-	if err := m.Adopt(n); err != nil {
+	if err := m.srv.Adopt(n); err != nil {
 		return nil, err
 	}
 	mo := &MemoryObject{mgr: m, Port: n, Tag: tag}
@@ -250,6 +246,7 @@ func (m *Manager) Remove(mo *MemoryObject) {
 	m.mu.Unlock()
 	_ = m.Space.DeallocatePort(mo.Port)
 	if mo.Request != 0 {
+		m.srv.Watcher().OnPortDeath(mo.Request, nil)
 		_ = m.Space.DeallocatePort(mo.Request)
 	}
 	if mo.PagerName != 0 {
@@ -257,160 +254,133 @@ func (m *Manager) Remove(mo *MemoryObject) {
 	}
 }
 
-// Stop makes Run return after its next message.
+// Run serves the manager task (its rpc.Server loop) until Stop or the
+// space's death.
+func (m *Manager) Run() { m.srv.Run() }
+
+// Stop ends Run and destroys the manager task's space.
 func (m *Manager) Stop() {
-	m.mu.Lock()
-	m.stopped = true
-	m.mu.Unlock()
+	m.srv.Stop()
 	m.Space.Destroy()
 }
 
-// Run is the manager service loop: it receives on every enabled port of
-// the space — or on the manager's port set, after UsePortSet — and
-// dispatches pager calls to the Handler. It returns when the space is
-// destroyed.
-func (m *Manager) Run() {
-	for {
-		m.mu.Lock()
-		stopped := m.stopped
-		src := m.set
-		m.mu.Unlock()
-		if stopped {
-			return
+// handleData routes pager_data_request, pager_data_write and
+// pager_data_unlock to the Handler.
+func (m *Manager) handleData(msg *ipc.Message) {
+	// pager_data_request and pager_data_unlock identify the calling
+	// kernel by its pager request port (Table 3-5); the right travels
+	// in the message and resolves to the name installed at pager_init
+	// time.
+	m.mu.Lock()
+	var mo *MemoryObject
+	for i := range msg.Sections {
+		if msg.Sections[i].Kind == ipc.PortRightSection {
+			mo = m.byRequest[msg.Sections[i].PortName]
+			break
 		}
-		msg, err := m.Space.Receive(src, ipc.ReceiveOptions{})
-		if err == ipc.ErrSpaceDead || err == ipc.ErrPortDied {
-			// The space died, or the port set was torn down with it.
-			return
-		}
-		if src != 0 && err == ipc.ErrNoEnabledPorts {
-			// The set emptied (every member died): nothing can ever
-			// arrive again, so returning beats spinning.
-			return
-		}
-		if err != nil {
-			continue
-		}
-		m.Dispatch(msg)
 	}
-}
-
-// Dispatch routes one received message. Exposed so tasks that run their
-// own receive loop can still use the pager machinery.
-func (m *Manager) Dispatch(msg *ipc.Message) {
+	if mo == nil {
+		mo = m.byPort[msg.LocalPort]
+	}
+	m.mu.Unlock()
+	if mo == nil {
+		return
+	}
+	offset, length, prot, _, data, ok := decodePayload(msg.InlineData())
+	if !ok {
+		return
+	}
 	switch msg.ID {
-	case MsgPagerInit:
-		m.handleInit(msg, false)
-	case MsgPagerCreate:
-		m.handleInit(msg, true)
-	case MsgDataRequest, MsgDataWrite, MsgDataUnlock:
-		// pager_data_request and pager_data_unlock identify the calling
-		// kernel by its pager request port (Table 3-5); the right
-		// travels in the message and resolves to the name installed at
-		// pager_init time.
-		m.mu.Lock()
-		var mo *MemoryObject
-		for i := range msg.Sections {
-			if msg.Sections[i].Kind == ipc.PortRightSection {
-				mo = m.byRequest[msg.Sections[i].PortName]
-				break
-			}
-		}
-		if mo == nil {
-			mo = m.byPort[msg.LocalPort]
-		}
-		m.mu.Unlock()
-		if mo == nil {
-			return
-		}
-		offset, length, prot, _, data, ok := decodePayload(msg.InlineData())
-		if !ok {
-			return
-		}
-		switch msg.ID {
-		case MsgDataRequest:
-			m.Handler.DataRequest(mo, offset, length, prot)
-		case MsgDataWrite:
-			m.Handler.DataWrite(mo, offset, data)
-		case MsgDataUnlock:
-			m.Handler.DataUnlock(mo, offset, length, prot)
-		}
-	case ipc.MsgIDPortDeleted:
-		dead := ipc.DecodeName(msg.InlineData())
-		m.mu.Lock()
-		mo := m.byRequest[dead]
-		if mo != nil {
-			// Only the request-port registration is dropped here: a
-			// pager_data_write queued on the object port may still be
-			// in flight (kernel calls are asynchronous), so the
-			// object stays registered until the handler Removes it.
-			delete(m.byRequest, dead)
-		}
-		m.mu.Unlock()
-		if mo != nil {
-			m.Handler.PortDeath(mo)
-		} else if m.Default != nil {
-			m.Default(msg)
-		}
-	default:
-		if m.Default != nil {
-			m.Default(msg)
-		}
+	case MsgDataRequest:
+		m.Handler.DataRequest(mo, offset, length, prot)
+	case MsgDataWrite:
+		m.Handler.DataWrite(mo, offset, data)
+	case MsgDataUnlock:
+		m.Handler.DataUnlock(mo, offset, length, prot)
 	}
 }
 
-// handleInit processes pager_init and pager_create, which differ only in
-// that pager_create also carries the memory object port's receive right
-// (the object is kernel-created).
-func (m *Manager) handleInit(msg *ipc.Message, create bool) {
+// watchRequest registers mo's request port for the kernel's port-death
+// notification, which the server's loop takes from the notify port only.
+func (m *Manager) watchRequest(mo *MemoryObject) {
+	m.srv.Watcher().OnPortDeath(mo.Request, m.requestDied)
+}
+
+// requestDied is the §4.1 port_death path: the kernel destroyed a
+// request port, so it is done with the object.
+func (m *Manager) requestDied(dead ipc.Name) {
+	m.mu.Lock()
+	mo := m.byRequest[dead]
+	// Only the request-port registration is dropped here: a
+	// pager_data_write queued on the object port may still be in flight
+	// (kernel calls are asynchronous), so the object stays registered
+	// until the handler Removes it.
+	delete(m.byRequest, dead)
+	m.mu.Unlock()
+	if mo != nil {
+		m.Handler.PortDeath(mo)
+	}
+}
+
+// portRights lists the port-right names a pager message carries.
+func portRights(msg *ipc.Message) []ipc.Name {
 	var rights []ipc.Name
 	for i := range msg.Sections {
 		if msg.Sections[i].Kind == ipc.PortRightSection {
 			rights = append(rights, msg.Sections[i].PortName)
 		}
 	}
-	var mo *MemoryObject
-	if create {
-		// [object receive right, request right, name right]
-		if len(rights) < 3 {
-			return
-		}
-		mo = &MemoryObject{mgr: m, Port: rights[0], Request: rights[1], PagerName: rights[2]}
-		if err := m.Adopt(mo.Port); err != nil {
-			return
-		}
-		m.mu.Lock()
-		m.byPort[mo.Port] = mo
-		m.byRequest[mo.Request] = mo
-		m.mu.Unlock()
-		m.Handler.PagerCreate(mo)
+	return rights
+}
+
+// handleCreate processes pager_create, which carries the memory object
+// port's receive right (the object is kernel-created) as well as the
+// request and name rights. Only the designated create port accepts it.
+func (m *Manager) handleCreate(msg *ipc.Message) {
+	m.mu.Lock()
+	create := m.createPort
+	m.mu.Unlock()
+	rights := portRights(msg)
+	// [object receive right, request right, name right]
+	if msg.LocalPort != create || len(rights) < 3 {
 		return
 	}
-	// pager_init: [request right, name right]; arrived on the memory
-	// object port itself.
+	mo := &MemoryObject{mgr: m, Port: rights[0], Request: rights[1], PagerName: rights[2]}
+	if err := m.srv.Adopt(mo.Port); err != nil {
+		return
+	}
+	m.mu.Lock()
+	m.byPort[mo.Port] = mo
+	m.byRequest[mo.Request] = mo
+	m.mu.Unlock()
+	m.watchRequest(mo)
+	m.Handler.PagerCreate(mo)
+}
+
+// handleInit processes pager_init: [request right, name right], arrived
+// on the memory object port itself.
+func (m *Manager) handleInit(msg *ipc.Message) {
+	rights := portRights(msg)
 	if len(rights) < 2 {
 		return
 	}
 	m.mu.Lock()
-	mo = m.byPort[msg.LocalPort]
-	if mo != nil {
-		if mo.Request != 0 {
-			// A second kernel mapping the same object: per §3.4.1,
-			// each kernel has distinct request/name ports; track it
-			// as a sibling MemoryObject sharing the port and tag.
-			sib := &MemoryObject{mgr: m, Port: mo.Port, Request: rights[0], PagerName: rights[1], Tag: mo.Tag}
-			m.byRequest[sib.Request] = sib
-			m.mu.Unlock()
-			m.Handler.PagerInit(sib)
-			return
-		}
-		mo.Request, mo.PagerName = rights[0], rights[1]
-		m.byRequest[mo.Request] = mo
+	mo := m.byPort[msg.LocalPort]
+	if mo == nil {
+		m.mu.Unlock()
+		return
 	}
+	if mo.Request != 0 {
+		// A second kernel mapping the same object: per §3.4.1, each
+		// kernel has distinct request/name ports; track it as a sibling
+		// MemoryObject sharing the port and tag.
+		mo = &MemoryObject{mgr: m, Port: mo.Port, Tag: mo.Tag}
+	}
+	mo.Request, mo.PagerName = rights[0], rights[1]
+	m.byRequest[mo.Request] = mo
 	m.mu.Unlock()
-	if mo != nil {
-		m.Handler.PagerInit(mo)
-	}
+	m.watchRequest(mo)
+	m.Handler.PagerInit(mo)
 }
 
 // NopHandler is a Handler with empty implementations, for embedding by

@@ -214,26 +214,26 @@ func TestDefaultPagerFreesBlocksOnDeath(t *testing.T) {
 	}
 }
 
-func TestManagerDefaultDispatch(t *testing.T) {
+// TestManagerServesApplicationCalls: a message that is not a pager call
+// reaches the task's own service handler on the manager's one loop.
+func TestManagerServesApplicationCalls(t *testing.T) {
 	space := ipc.NewSpace(0, nil)
 	h := &recordingHandler{calls: make(chan string, 4)}
 	mgr := NewManager(space, h)
-	other := make(chan *ipc.Message, 1)
-	mgr.Default = func(m *ipc.Message) { other <- m }
-	svc, _ := space.AllocatePort()
-	space.Enable(svc)
+	other := make(chan ipc.MsgID, 1)
+	mgr.Server().HandleOneWay(9999, func(m *ipc.Message) { other <- m.ID })
 	go mgr.Run()
 	defer mgr.Stop()
 
-	if err := space.Send(&ipc.Message{ID: 9999, RemotePort: svc}, ipc.SendOptions{}); err != nil {
+	if err := space.Send(&ipc.Message{ID: 9999, RemotePort: mgr.Server().Port}, ipc.SendOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	select {
-	case m := <-other:
-		if m.ID != 9999 {
-			t.Fatalf("default got %d", m.ID)
+	case id := <-other:
+		if id != 9999 {
+			t.Fatalf("service handler got %d", id)
 		}
 	case <-time.After(time.Second):
-		t.Fatal("application message not dispatched to Default")
+		t.Fatal("application message not dispatched to the service handler")
 	}
 }

@@ -78,28 +78,36 @@ func (r *Reply) CarryRelease(sec ipc.Section) *Reply {
 	return r
 }
 
-// Server is the demux loop of a service port: it owns the port, looks up
-// the registered handler for each request's MsgID, and replies — with
-// the handler's result, with the handler's error status, or with
-// StatusBadID when no handler is registered (in the seed repo an unknown
-// ID was silently dropped and the client blocked until its timeout).
+// Server is a task's one receive loop. It owns a port set holding the
+// service port and every port the task adopts (memory objects, ack
+// ports, the space's notify port once a watcher is in use), and routes
+// each message by arrival port and MsgID:
 //
-// A server runs in one of two modes:
+//   - a kernel notification on the notify port goes to the server's
+//     lifecycle watcher, and nowhere else;
+//   - a request whose MsgID has a Handle entry is answered — with the
+//     handler's result, with the handler's error status, or with
+//     StatusBadID when no handler is registered (in the seed repo an
+//     unknown ID was silently dropped and the client blocked until its
+//     timeout);
+//   - a one-way message with a HandleOneWay entry (the pager protocol's
+//     kernel calls) runs its handler and gets no reply.
 //
-//   - Own loop: call Run (usually `go srv.Run()`); it receives on the
-//     service port until Stop, optionally fanning requests out to a
-//     worker pool.
-//   - Embedded: servers built on pager.Manager keep the manager's
-//     receive loop and install Dispatch as the manager's Default, so
-//     pager calls and service calls share one thread.
+// Call Run (usually `go srv.Run()`) to serve until Stop.
 type Server struct {
 	// Space is the server task's port name space.
 	Space *ipc.Space
-	// Port is the service port name in Space (allocated and enabled by
-	// NewServer); publish a send right to clients with CopySendRight.
+	// Port is the service port name in Space (allocated by NewServer);
+	// publish a send right to clients with CopySendRight.
 	Port ipc.Name
 
+	// set is the port set Run receives on.
+	set ipc.Name
+
 	handlers map[ipc.MsgID]HandlerFunc
+	// oneWay holds the HandleOneWay entries: served only when they
+	// arrive as messages of their own, never as batch sub-calls.
+	oneWay map[ipc.MsgID]func(*ipc.Message)
 	// methods holds the per-MsgID metrics bundle of every registered
 	// handler, resolved at registration time (same register-before-Run
 	// contract as handlers, so serving reads it unsynchronized).
@@ -108,13 +116,8 @@ type Server struct {
 	workers int
 	stopped atomic.Bool
 
-	// ownWatcher is the private lifecycle watcher StopWhenUnreferenced
-	// starts when the caller passes none; Stop terminates it.
-	ownWatcher *lifecycle.Watcher
-
-	poolOnce sync.Once
-	ch       chan *ipc.Message
-	wg       sync.WaitGroup
+	watcherOnce sync.Once
+	watcher     *lifecycle.Watcher
 }
 
 // Option configures a Server.
@@ -122,7 +125,7 @@ type Option func(*Server)
 
 // WithWorkers makes Run dispatch requests on n concurrent worker
 // goroutines instead of inline. Handlers must then be safe for
-// concurrent use. Embedded (Dispatch) servers ignore it.
+// concurrent use.
 func WithWorkers(n int) Option {
 	return func(s *Server) {
 		if n > 0 {
@@ -131,21 +134,27 @@ func WithWorkers(n int) Option {
 	}
 }
 
-// NewServer allocates and enables a fresh service port on space and
-// returns a server demuxing it. Register handlers with Handle before
-// serving requests.
+// NewServer allocates a port set and a fresh service port in it on
+// space, and returns a server demuxing them. Register handlers with
+// Handle before Run.
 func NewServer(space *ipc.Space, opts ...Option) (*Server, error) {
+	set, err := space.AllocatePortSet()
+	if err != nil {
+		return nil, err
+	}
 	port, err := space.AllocatePort()
 	if err != nil {
 		return nil, err
 	}
-	if err := space.Enable(port); err != nil {
+	if err := space.MoveToPortSet(set, port); err != nil {
 		return nil, err
 	}
 	s := &Server{
 		Space:    space,
 		Port:     port,
+		set:      set,
 		handlers: make(map[ipc.MsgID]HandlerFunc),
+		oneWay:   make(map[ipc.MsgID]func(*ipc.Message)),
 		methods:  make(map[ipc.MsgID]*obs.RPCMethod),
 		met:      obs.RPCHost(int(space.Host())),
 	}
@@ -160,147 +169,146 @@ func NewServer(space *ipc.Space, opts ...Option) (*Server, error) {
 }
 
 // Handle registers fn for the given request ID. Registration is not
-// synchronized with serving: register every handler before Run or the
-// first Dispatch.
+// synchronized with serving: register every handler before Run.
+// Negative IDs belong to the kernel's notifications, which only the
+// watcher sees; registering one panics.
 func (s *Server) Handle(id ipc.MsgID, fn HandlerFunc) {
+	checkID(id)
 	s.handlers[id] = fn
 	s.methods[id] = obs.RPCMethodMetrics(int(s.Space.Host()), int32(id))
 }
 
-// Run receives on the service port and dispatches until the port or
-// space dies (see Stop). With WithWorkers(n) it fans requests out to n
+// HandleOneWay registers fn for a one-way message ID: fn gets the raw
+// message, no reply is ever sent, and the ID is honoured only for a
+// message that arrives on its own, never as a batch sub-call. The pager
+// protocol's kernel-to-manager calls are registered this way. Same
+// register-before-Run contract as Handle.
+func (s *Server) HandleOneWay(id ipc.MsgID, fn func(*ipc.Message)) {
+	checkID(id)
+	s.oneWay[id] = fn
+}
+
+func checkID(id ipc.MsgID) {
+	if id < 0 {
+		panic("rpc: negative message IDs are kernel notifications")
+	}
+}
+
+// Adopt moves a receive right the server's space holds (a memory
+// object port, an acknowledgement port) into the server's port set, so
+// its messages reach Run. Safe to call while Run is serving.
+func (s *Server) Adopt(n ipc.Name) error { return s.Space.MoveToPortSet(s.set, n) }
+
+// Watcher returns the lifecycle watcher of the server's space. The
+// first call moves the space's notify port into the server's set, so
+// Run feeds it every kernel notification; use it on at most one server
+// per space.
+func (s *Server) Watcher() *lifecycle.Watcher {
+	s.watcherOnce.Do(func() {
+		s.watcher = lifecycle.New(s.Space)
+		// Fails only on a dead space, where no notification can come.
+		_ = s.Adopt(s.Space.NotifyPort())
+	})
+	return s.watcher
+}
+
+// Run receives on the server's port set and dispatches until Stop (or
+// the space's death). With WithWorkers(n) it fans messages out to n
 // goroutines and returns only after they drain.
-func (s *Server) Run() {
-	if s.workers > 0 {
-		s.poolOnce.Do(s.startPool)
-		defer func() {
-			close(s.ch)
-			s.wg.Wait()
-		}()
-	}
-	for {
-		m, err := s.Space.Receive(s.Port, ipc.ReceiveOptions{})
-		if err != nil {
-			// Stop deallocated the service port (or the space died);
-			// nothing more can arrive. Requests already received are
-			// always served — a dequeued message must never be dropped,
-			// or its client would block for its full timeout.
-			return
-		}
-		if s.workers > 0 {
-			s.ch <- m
-		} else {
-			s.serve(m)
-			m.Release()
-		}
-	}
-}
+func (s *Server) Run() { _ = s.loop(nil) }
 
-func (s *Server) startPool() {
-	s.ch = make(chan *ipc.Message, s.workers)
-	for i := 0; i < s.workers; i++ {
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			for m := range s.ch {
-				s.serve(m)
-				m.Release()
-			}
-		}()
-	}
-}
-
-// ServePorts runs ONE receive loop over a port set containing this
-// server's service port and every other server's — the paper's servers'
-// shape of multiplexing many client ports through one receive point
-// (§4-§5), here letting N services (an fs, a netmem, a camelot — any
-// mix of protocols with disjoint handler tables) share a single
-// goroutine instead of costing a loop each. All servers must live on
-// this server's Space. Requests are dispatched to the owning server by
-// arrival port, with fair round-robin across the ports, so one flooded
-// service cannot starve the rest.
+// ServePorts serves this server's port set and every other server's
+// service port from ONE loop — the paper's servers' shape of
+// multiplexing many client ports through one receive point (§4-§5),
+// here letting N services (any mix of protocols with disjoint handler
+// tables) share a single goroutine instead of costing a loop each. All
+// servers must live on this server's Space. Requests are dispatched to
+// the owning server by arrival port, with fair round-robin across the
+// ports, so one flooded service cannot starve the rest.
 //
 // The loop runs on the calling goroutine (usually `go a.ServePorts(b,
-// c)`). With WithWorkers(n) on the receiving server s, requests fan out
-// to n worker goroutines (handlers of every member server must then be
-// safe for concurrent use); otherwise dispatch is inline. It returns
-// nil once every member server has stopped (each Stop deallocates its
-// service port, which drops the port out of the set; the emptied set
-// ends the loop), or the space's death error. Received requests are
-// always served before the loop exits — on the pooled path the workers
-// drain before ServePorts returns.
+// c)`), with this server's WithWorkers setting. A member's Stop takes
+// its service port out of the loop; Stop on this server ends the loop,
+// and ServePorts then returns nil (or the space's death error).
+// Received requests are always served before it returns.
 func (s *Server) ServePorts(others ...*Server) error {
-	set, err := s.Space.AllocatePortSet()
-	if err != nil {
-		return err
-	}
-	defer func() { _ = s.Space.DeallocatePort(set) }()
-	byPort := make(map[ipc.Name]*Server, 1+len(others))
-	for _, srv := range append([]*Server{s}, others...) {
-		if srv.Space != s.Space {
+	routes := make(map[ipc.Name]*Server, len(others))
+	for _, o := range others {
+		if o.Space != s.Space {
 			return errors.New("rpc: ServePorts servers must share one space")
 		}
-		if err := s.Space.MoveToPortSet(set, srv.Port); err != nil {
+		if err := s.Adopt(o.Port); err != nil {
 			return err
 		}
-		byPort[srv.Port] = srv
+		routes[o.Port] = o
 	}
-	// The pool is local to this loop (not s.ch): the set multiplexes
-	// several servers' ports, so a pooled request carries its owning
-	// server along with the message.
-	type setReq struct {
-		srv *Server
-		m   *ipc.Message
-	}
-	var pool chan setReq
+	return s.loop(routes)
+}
+
+// loop is the server's receive loop; routes maps the service ports of
+// ServePorts members to their servers.
+func (s *Server) loop(routes map[ipc.Name]*Server) error {
+	serve := func(m *ipc.Message) { s.route(m, routes) }
 	if s.workers > 0 {
-		pool = make(chan setReq, s.workers)
+		pool := make(chan *ipc.Message, s.workers)
 		var wg sync.WaitGroup
 		for i := 0; i < s.workers; i++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				for r := range pool {
-					r.srv.serve(r.m)
-					r.m.Release()
+				for m := range pool {
+					s.route(m, routes)
 				}
 			}()
 		}
 		defer wg.Wait()
 		defer close(pool)
+		serve = func(m *ipc.Message) { pool <- m }
 	}
 	for {
-		m, err := s.Space.Receive(set, ipc.ReceiveOptions{})
-		if err == ipc.ErrNoEnabledPorts {
-			// Every member stopped; the multiplexed loop is done.
-			return nil
-		}
+		m, err := s.Space.Receive(s.set, ipc.ReceiveOptions{})
 		if err != nil {
+			// Stop deallocated the set (or the space died); nothing
+			// more can arrive. Messages already received are always
+			// served — a dequeued request must never be dropped, or its
+			// client would block for its full timeout.
+			if s.Stopped() {
+				return nil
+			}
 			return err
 		}
-		if srv, ok := byPort[m.LocalPort]; ok {
-			if pool != nil {
-				pool <- setReq{srv: srv, m: m}
-				continue
-			}
-			srv.serve(m)
-		}
-		m.Release()
+		serve(m)
 	}
 }
 
-// Stop ends a Run loop gracefully: no further requests are accepted (the
-// service port is deallocated, so client sends fail fast instead of
-// queueing), in-flight handlers finish, and their replies still go out
-// on the clients' reply ports.
+// route hands one received message to the watcher or a server's
+// handler tables, then recycles it.
+func (s *Server) route(m *ipc.Message, routes map[ipc.Name]*Server) {
+	switch {
+	case m.LocalPort == s.Space.NotifyPort():
+		// Kernel notifications are only ever enqueued on the notify
+		// port, so only messages from it are taken as notifications: a
+		// client sending a notification ID to any other port meets an
+		// empty handler slot.
+		s.Watcher().Dispatch(m)
+	case routes[m.LocalPort] != nil:
+		routes[m.LocalPort].serve(m)
+	default:
+		s.serve(m)
+	}
+	m.Release()
+}
+
+// Stop ends Run: no further requests are accepted (the service port is
+// deallocated, so client sends fail fast instead of queueing), the port
+// set is destroyed, in-flight handlers finish, and their replies still
+// go out on the clients' reply ports.
 func (s *Server) Stop() {
 	if s.stopped.Swap(true) {
 		return
 	}
 	_ = s.Space.DeallocatePort(s.Port)
-	if s.ownWatcher != nil {
-		s.ownWatcher.Stop()
-	}
+	_ = s.Space.DeallocatePort(s.set)
 }
 
 // Stopped reports whether Stop has run (directly or through
@@ -311,36 +319,28 @@ func (s *Server) Stopped() bool { return s.stopped.Load() }
 // right to its service port is gone: client-held rights, rights in
 // transit inside messages, and kernel references (netmsg proxies on
 // other hosts) all count; the server's own send right does not. The
-// watcher w dispatches the space's notifications — servers embedded in
-// a manager loop must pass the watcher chained into that loop. Passing
-// nil starts a private Run-mode watcher, which is only safe when
-// nothing else receives the space's notifications. Arm AFTER bootstrap
-// is complete: a request armed at zero fires on the next transition to
-// zero, so arming before the first CopySendRight-style publication is
-// safe — but any bootstrap step that transiently mints and releases a
-// right crosses zero and stops the server immediately. The netmsg
-// registry's weak check-in is exactly such a step (it releases the
-// carried right after recording the port), so check in first, then arm.
-func (s *Server) StopWhenUnreferenced(w *lifecycle.Watcher) error {
-	if w == nil {
-		w = lifecycle.New(s.Space)
-		s.ownWatcher = w
-		go w.Run()
-	}
-	return w.OnNoSenders(s.Port, func(ipc.Name) { s.Stop() })
+// notification arrives through the server's own Watcher. Arm AFTER
+// bootstrap is complete: a request armed at zero fires on the next
+// transition to zero, so arming before the first CopySendRight-style
+// publication is safe — but any bootstrap step that transiently mints
+// and releases a right crosses zero and stops the server immediately.
+// The netmsg registry's weak check-in is exactly such a step (it
+// releases the carried right after recording the port), so check in
+// first, then arm.
+func (s *Server) StopWhenUnreferenced() error {
+	return s.Watcher().OnNoSenders(s.Port, func(ipc.Name) { s.Stop() })
 }
 
-// Dispatch serves one already-received message — the embedded mode for
-// tasks whose receive loop lives elsewhere (pager.Manager's Default).
-func (s *Server) Dispatch(m *ipc.Message) { s.serve(m) }
-
-// serve looks up the handler and sends the reply. The request message
-// itself is NOT recycled here: loop modes that own their messages (Run,
-// ServePorts, the worker pool) release it after serve returns, while
-// Dispatch leaves ownership with the embedding receive loop.
+// serve runs the handler for one request and sends the reply. The loop
+// recycles the request message after serve returns.
 func (s *Server) serve(m *ipc.Message) {
 	fn, ok := s.handlers[m.ID]
 	if !ok {
+		if ow := s.oneWay[m.ID]; ow != nil {
+			ow(m)
+			s.dropReplyRight(m)
+			return
+		}
 		s.replyStatus(m, StatusBadID, nil)
 		return
 	}
@@ -359,15 +359,19 @@ func (s *Server) serve(m *ipc.Message) {
 		return
 	}
 	if r == nil {
-		// One-way message: nothing to send, but still release the reply
-		// right if the sender attached one.
-		if m.RemotePort != 0 {
-			_ = s.Space.DeallocatePort(m.RemotePort)
-		}
+		s.dropReplyRight(m)
 		return
 	}
 	s.replyStatus(m, StatusOK, r)
 	r.recycle()
+}
+
+// dropReplyRight releases the reply right a one-way message's sender
+// attached, if any: nothing will be sent on it.
+func (s *Server) dropReplyRight(m *ipc.Message) {
+	if m.RemotePort != 0 {
+		_ = s.Space.DeallocatePort(m.RemotePort)
+	}
 }
 
 // replyStatus sends [status][result fields][sections] to the request's

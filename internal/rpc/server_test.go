@@ -286,3 +286,62 @@ func TestWorkerPoolSerialClients(t *testing.T) {
 		}
 	}
 }
+
+// TestStopEndsLoopServingWatcher: a server whose loop also feeds the
+// space's lifecycle watcher (the notify port is in its set) still ends
+// promptly on Stop.
+func TestStopEndsLoopServingWatcher(t *testing.T) {
+	srv, _, _ := testPair(t)
+	if err := srv.StopWhenUnreferenced(); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		srv.Run()
+		close(done)
+	}()
+	srv.Stop()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run did not exit after Stop")
+	}
+}
+
+// TestOneWayAndAdopt: a HandleOneWay entry serves a message arriving on
+// an adopted port, sends no reply, and is not reachable as a batch
+// sub-call.
+func TestOneWayAndAdopt(t *testing.T) {
+	srv, client, _ := testPair(t)
+	got := make(chan ipc.Name, 1)
+	srv.HandleOneWay(msgEcho+1, func(m *ipc.Message) { got <- m.LocalPort })
+	extra, err := srv.Space.AllocatePort()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Adopt(extra); err != nil {
+		t.Fatal(err)
+	}
+	go srv.Run()
+	defer srv.Stop()
+
+	if err := srv.Space.Send(&ipc.Message{ID: msgEcho + 1, RemotePort: extra}, ipc.SendOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case n := <-got:
+		if n != extra {
+			t.Fatalf("one-way message arrived on %d, want %d", n, extra)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("message on the adopted port was not served")
+	}
+	b := client.NewBatch()
+	call := b.Add(msgEcho+1, NewEnc())
+	if err := b.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if call.Status() != StatusBadID {
+		t.Fatalf("batched one-way sub-call answered %v, want StatusBadID", call.Status())
+	}
+}

@@ -205,9 +205,10 @@ type Slab = ipc.Slab
 // queues and backlogs (per-port backpressure is untouched); a member's
 // messages arrive ONLY through the set (direct receives answer
 // ErrInSet, receive-any skips members), so a message is never delivered
-// twice. RPCServer.ServePorts serves several services from one
-// goroutine over a set; pager managers (fs, netmem, camelot) multiplex
-// their object ports the same way.
+// twice. Every RPCServer receives on its own set: its service port,
+// the ports it adopts (RPCServer.Adopt; a Manager's memory object
+// ports) and, once RPCServer.Watcher is used, the notify port.
+// RPCServer.ServePorts serves several services from that one loop.
 
 // Port-set errors.
 var (
@@ -226,13 +227,10 @@ var (
 // receiver arms Space.RequestNoSenders to learn when its last client is
 // gone, and dead ports leave dead names behind (ErrDeadName) instead of
 // freeing names that could alias fresh ports. The LifecycleWatcher is
-// the consumer layer: it drains a space's notifications and runs
-// per-name callbacks with the make-send staleness check applied.
+// the consumer layer: it runs per-name callbacks for a space's
+// notifications with the make-send staleness check applied. Get one
+// from RPCServer.Watcher: the server's loop feeds it.
 type LifecycleWatcher = lifecycle.Watcher
-
-// NewLifecycleWatcher builds a watcher over a space's notifications
-// (run with `go w.Run()`, or chain w.Dispatch into a manager loop).
-var NewLifecycleWatcher = lifecycle.New
 
 // ErrDeadName: the name refers to a port whose receive right was
 // destroyed; the name stays reserved until deallocated.
@@ -412,9 +410,9 @@ var ErrMemoryFailure = vm.ErrMemoryFailure
 
 // --- external memory management -------------------------------------------------
 
-// Data manager toolkit (§3.4): Manager runs a data manager task's service
-// loop, Handler receives the Table 3-5 calls, MemoryObject sends the
-// Table 3-6 calls.
+// Data manager toolkit (§3.4): Manager installs the pager protocol on a
+// data manager task's RPCServer (Manager.Server), Handler receives the
+// Table 3-5 calls, MemoryObject sends the Table 3-6 calls.
 type (
 	Manager      = pager.Manager
 	Handler      = pager.Handler
@@ -424,7 +422,7 @@ type (
 	DefaultPager = pager.DefaultPager
 )
 
-// NewManager wraps a space and handler into a manager service loop.
+// NewManager builds a data manager on a fresh RPCServer over space.
 func NewManager(space *Space, h Handler) *Manager { return pager.NewManager(space, h) }
 
 // --- durable storage & the I/O manager ----------------------------------------

@@ -330,10 +330,15 @@ func TestPortSetFacade(t *testing.T) {
 		t.Fatalf("set receive served %v, want both members", got)
 	}
 
-	// Dead-name notification through the watcher facade.
-	w := mach.NewLifecycleWatcher(client.Space)
-	go w.Run()
-	defer w.Stop()
+	// Dead-name notification through the watcher facade, fed by the
+	// client task's server loop.
+	loop, err := mach.NewRPCServer(client.Space)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := loop.Watcher()
+	go loop.Run()
+	defer loop.Stop()
 	fired := make(chan mach.Name, 1)
 	if err := w.OnDeadName(ca, func(n mach.Name) { fired <- n }); err != nil {
 		t.Fatal(err)
