@@ -3,8 +3,6 @@ package camelot
 import (
 	"path/filepath"
 	"testing"
-
-	"repro/internal/iomgr"
 )
 
 // BenchmarkWALAppend measures the write-ahead log's append rate on a
@@ -19,7 +17,7 @@ import (
 func BenchmarkWALAppend(b *testing.B) {
 	const slots = 8192
 	bench := func(b *testing.B, every int) {
-		w, err := OpenWAL(filepath.Join(b.TempDir(), "wal.log"), slots, 512, iomgr.Options{})
+		w, err := OpenWAL(filepath.Join(b.TempDir(), "wal.log"), slots, 512)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -23,8 +23,6 @@ type DurableOptions struct {
 	// Frames, when positive, interposes a frame-table buffer pool of
 	// that many page frames between the manager and the data volume.
 	Frames int
-	// IO configures the I/O manager backend for all three files.
-	IO iomgr.Options
 }
 
 // durableState carries the real-file resources of a durable manager.
@@ -61,7 +59,7 @@ func NewDurableDiskManager(k *kern.Kernel, dir string, o DurableOptions) (*DiskM
 		return nil, err
 	}
 	ps := int(k.VM.PageSize())
-	dataVol, err := pager.OpenFileVolume(filepath.Join(dir, "data.vol"), o.DataBlocks, ps, o.IO)
+	dataVol, err := pager.OpenFileVolume(filepath.Join(dir, "data.vol"), o.DataBlocks, ps)
 	if err != nil {
 		return nil, err
 	}
@@ -71,14 +69,12 @@ func NewDurableDiskManager(k *kern.Kernel, dir string, o DurableOptions) (*DiskM
 		pool = pager.NewFramePool(dataVol, o.Frames)
 		store = pool
 	}
-	wal, err := OpenWAL(filepath.Join(dir, "wal.log"), o.LogBlocks, o.LogBlockSize, o.IO)
+	wal, err := OpenWAL(filepath.Join(dir, "wal.log"), o.LogBlocks, o.LogBlockSize)
 	if err != nil {
 		dataVol.Close()
 		return nil, err
 	}
-	catOpts := o.IO
-	catOpts.Create = true
-	catalog, err := iomgr.Open(filepath.Join(dir, "catalog.meta"), catOpts)
+	catalog, err := iomgr.Open(filepath.Join(dir, "catalog.meta"), iomgr.Options{Create: true})
 	if err != nil {
 		wal.Close()
 		dataVol.Close()

@@ -181,7 +181,7 @@ func TestDurableCommitFailsWhenLogDies(t *testing.T) {
 // — one leader syncs for everybody, so Fsyncs ends strictly below
 // Forces.
 func TestWALGroupCommitBatchesFsyncs(t *testing.T) {
-	w, err := OpenWAL(filepath.Join(t.TempDir(), "wal.log"), 256, 256, iomgr.Options{})
+	w, err := OpenWAL(filepath.Join(t.TempDir(), "wal.log"), 256, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,12 +257,12 @@ func TestDurableWALPrecedesPageWrite(t *testing.T) {
 	dir := t.TempDir()
 	k := kern.NewKernel(kern.Config{Frames: 16, PageSize: pgsz})
 	defer k.Shutdown()
-	vol, err := pager.OpenFileVolume(filepath.Join(dir, "data.vol"), 64, pgsz, iomgr.Options{})
+	vol, err := pager.OpenFileVolume(filepath.Join(dir, "data.vol"), 64, pgsz)
 	if err != nil {
 		t.Fatal(err)
 	}
 	guard := &walGuard{BlockStore: vol, t: t}
-	wal, err := OpenWAL(filepath.Join(dir, "wal.log"), 1024, pgsz, iomgr.Options{})
+	wal, err := OpenWAL(filepath.Join(dir, "wal.log"), 1024, pgsz)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,9 +65,8 @@ func NewSimWAL(d *machine.Disk) *WAL {
 
 // OpenWAL opens (creating if needed) a real-file log of nblocks record
 // slots of blockSize bytes, all I/O through the I/O manager.
-func OpenWAL(path string, nblocks, blockSize int, opts iomgr.Options) (*WAL, error) {
-	opts.Create = true
-	f, err := iomgr.Open(path, opts)
+func OpenWAL(path string, nblocks, blockSize int) (*WAL, error) {
+	f, err := iomgr.Open(path, iomgr.Options{Create: true})
 	if err != nil {
 		return nil, err
 	}

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 
 	"repro/internal/camelot"
-	"repro/internal/iomgr"
 	"repro/internal/kern"
 	"repro/internal/obs"
 	"repro/internal/pager"
@@ -50,7 +49,7 @@ func E11DurableIO() Table {
 	// 4x the frame pool and 16x kernel memory, so pages live through
 	// pageout -> frame pool -> file and fault back the same way.
 	paging := func(name string, npages, frames int) {
-		vol, err := pager.OpenFileVolume(filepath.Join(dir, name+".vol"), 4*npages, pgsz, iomgr.Options{})
+		vol, err := pager.OpenFileVolume(filepath.Join(dir, name+".vol"), 4*npages, pgsz)
 		if err != nil {
 			panic(err)
 		}

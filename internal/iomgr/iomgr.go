@@ -2,18 +2,11 @@
 // storage engine underneath the durable pager backing store and the
 // Camelot write-ahead log. Callers submit reads, writes and fsyncs and
 // get a completion handle back; a per-file dispatcher batches queued
-// submissions toward the backend under a queue-depth limit.
+// submissions under a queue-depth limit and hands each batch to a small
+// pool of worker goroutines doing positioned reads, writes and fsyncs
+// on the os.File.
 //
-// Two backends provide identical semantics:
-//
-//   - io_uring on Linux (batched SQE submission, completion-driven
-//     wakeups, no goroutine per operation);
-//   - a portable goroutine worker pool over pread/pwrite/fsync,
-//     selected automatically where io_uring is unavailable (non-Linux
-//     builds, seccomp-filtered containers, io_uring_disabled sysctls)
-//     or explicitly via Options.Backend / IOMGR_BACKEND=pool.
-//
-// Shared semantics, both backends:
+// Completion semantics:
 //
 //   - Reads past end-of-file return the full buffer with the tail
 //     zero-filled (a fresh device reads as zeroes — the machine.Disk
@@ -125,7 +118,7 @@ type Stats struct {
 	Submitted int64
 	Inflight  int64
 	Completed int64
-	// Batches counts dispatcher rounds toward the backend; Submitted
+	// Batches counts dispatcher rounds toward the workers; Submitted
 	// divided by Batches is the achieved batching factor.
 	Batches int64
 	// BytesRead and BytesWritten count successfully transferred bytes.
@@ -166,47 +159,29 @@ type Options struct {
 	// QueueDepth bounds in-flight operations per file (the per-device
 	// limit). 0 means DefaultQueueDepth.
 	QueueDepth int
-	// Backend forces a backend: "uring", "pool", or "" for automatic
-	// (io_uring where it works, pool otherwise). The IOMGR_BACKEND
-	// environment variable, when set, overrides "" — CI uses it to
-	// exercise the fallback on kernels that do support io_uring.
-	Backend string
-	// Workers sizes the pool backend (0 means DefaultWorkers). The
-	// uring backend ignores it.
-	Workers int
 	// Create creates the file if absent.
 	Create bool
 }
 
 // Default tuning. Queue depth caps in-flight ops per file; the batch
 // limit caps how many queued submissions one dispatcher round hands the
-// backend.
+// workers; the worker count is further capped at the queue depth.
 const (
 	DefaultQueueDepth = 64
-	DefaultWorkers    = 4
+	maxWorkers        = 4
 	maxBatch          = 32
 )
 
-// backend is the submission target behind a File's dispatcher. submit
-// receives batches of ops already charged against the queue-depth
-// limit; each op must eventually reach op.complete (backends call
-// f.finish, which layers the short-I/O semantics on top).
-type backend interface {
-	name() string
-	submit(batch []*Op)
-	close()
-}
-
 // File is an open iomgr file: a submission queue, a dispatcher
-// goroutine batching toward the backend, and completion bookkeeping.
+// goroutine batching toward the workers, and completion bookkeeping.
 type File struct {
 	os      *os.File
-	be      backend
 	stats   stats
 	met     *obs.IOMetrics
 	depth   int
 	submitq chan *Op
 	slots   chan struct{} // queue-depth tokens
+	work    chan *Op      // dispatched ops, drained by the workers
 	wg      sync.WaitGroup
 
 	mu     sync.Mutex
@@ -236,46 +211,20 @@ func Open(path string, opts Options) (*File, error) {
 		depth:   depth,
 		submitq: make(chan *Op, depth),
 		slots:   make(chan struct{}, depth),
+		work:    make(chan *Op, depth),
 	}
-	f.be, err = openBackend(f, opts)
-	if err != nil {
-		fd.Close()
-		return nil, err
+	workers := min(maxWorkers, depth)
+	f.wg.Add(1 + workers)
+	for i := 0; i < workers; i++ {
+		go f.worker()
 	}
-	f.wg.Add(1)
 	go f.dispatch()
 	return f, nil
 }
 
-// backendChoice resolves the configured backend name: explicit option,
-// then the IOMGR_BACKEND environment variable, then automatic.
-func backendChoice(opts Options) string {
-	if opts.Backend != "" {
-		return opts.Backend
-	}
-	return os.Getenv("IOMGR_BACKEND")
-}
-
-// openBackend picks the backend: io_uring where requested or available,
-// the worker pool otherwise.
-func openBackend(f *File, opts Options) (backend, error) {
-	switch choice := backendChoice(opts); choice {
-	case "pool":
-		return newPoolBackend(f, opts.Workers), nil
-	case "uring":
-		return newUringBackend(f)
-	case "":
-		if be, err := newUringBackend(f); err == nil {
-			return be, nil
-		}
-		return newPoolBackend(f, opts.Workers), nil
-	default:
-		return nil, fmt.Errorf("iomgr: unknown backend %q", choice)
-	}
-}
-
-// Backend reports which backend serves this file ("uring" or "pool").
-func (f *File) Backend() string { return f.be.name() }
+// Backend names the I/O engine serving this file: always "pool", the
+// worker pool. Benchmark run records log it.
+func (f *File) Backend() string { return "pool" }
 
 // Stats returns a snapshot of the operation counters.
 func (f *File) Stats() Stats { return f.stats.snapshot() }
@@ -361,8 +310,8 @@ func (f *File) submit(op *Op) *Op {
 
 // dispatch drains the submission queue in batches: it blocks for one
 // op, then opportunistically folds every already-queued op (up to
-// maxBatch and the free queue-depth slots) into the same backend
-// submission.
+// maxBatch and the free queue-depth slots) into the same hand-off to
+// the workers.
 func (f *File) dispatch() {
 	defer f.wg.Done()
 	batch := make([]*Op, 0, maxBatch)
@@ -388,7 +337,7 @@ func (f *File) dispatch() {
 				break fold
 			}
 		}
-		// Fault injection happens here, BEFORE the backend: a faulted
+		// Fault injection happens here, BEFORE the workers: a faulted
 		// op never reaches the device — the bytes of a "failed" write
 		// are genuinely not on disk, which is what crash-recovery
 		// tests depend on.
@@ -408,13 +357,15 @@ func (f *File) dispatch() {
 		}
 		f.stats.batches.Add(1)
 		f.met.Batches.Inc()
-		f.be.submit(batch)
+		for _, op := range batch {
+			f.work <- op
+		}
 	}
-	f.be.close()
+	close(f.work)
 }
 
-// finish applies the shared completion semantics on behalf of a
-// backend: EOF zero-fill for reads, short-write errors, then
+// finish applies the completion semantics on behalf of a worker (or
+// of the dispatcher, for a faulted op): EOF zero-fill for reads, short-write errors, then
 // op.complete. n < 0 carries err.
 func (f *File) finish(op *Op, n int, err error) {
 	<-f.slots
@@ -446,8 +397,8 @@ func zero(b []byte) {
 	}
 }
 
-// Close drains in-flight operations, shuts the backend down and closes
-// the file. Further submissions complete with ErrClosed.
+// Close drains in-flight operations, stops the workers and closes the
+// file. Further submissions complete with ErrClosed.
 func (f *File) Close() error {
 	f.mu.Lock()
 	if f.closed {
@@ -457,7 +408,7 @@ func (f *File) Close() error {
 	f.closed = true
 	close(f.submitq)
 	f.mu.Unlock()
-	f.wg.Wait() // dispatcher done; backend close drained in-flight ops
+	f.wg.Wait() // dispatcher and workers done: in-flight ops drained
 	return f.os.Close()
 }
 

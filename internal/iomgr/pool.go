@@ -1,65 +1,27 @@
 package iomgr
 
-import (
-	"io"
-	"sync"
-)
+import "io"
 
-// poolBackend is the portable fallback: a fixed goroutine pool doing
-// positioned reads/writes and fsync against the os.File. Semantics are
-// identical to the uring backend (see the package comment); only the
-// mechanism differs — one blocked OS thread per in-flight syscall
-// instead of one ring.
-type poolBackend struct {
-	f    *File
-	work chan *Op
-	wg   sync.WaitGroup
-}
-
-func newPoolBackend(f *File, workers int) *poolBackend {
-	if workers <= 0 {
-		workers = DefaultWorkers
-	}
-	if workers > f.depth {
-		workers = f.depth
-	}
-	b := &poolBackend{f: f, work: make(chan *Op, f.depth)}
-	b.wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go b.worker()
-	}
-	return b
-}
-
-func (b *poolBackend) name() string { return "pool" }
-
-func (b *poolBackend) submit(batch []*Op) {
-	for _, op := range batch {
-		b.work <- op
-	}
-}
-
-func (b *poolBackend) worker() {
-	defer b.wg.Done()
-	for op := range b.work {
+// worker is one of a File's pool goroutines: it takes dispatched ops
+// and does the positioned read, write or fsync against the os.File,
+// one blocked OS thread per in-flight syscall. finish layers the
+// completion semantics of the package comment on top.
+func (f *File) worker() {
+	defer f.wg.Done()
+	for op := range f.work {
 		var n int
 		var err error
 		switch op.Kind {
 		case OpRead:
-			n, err = b.f.os.ReadAt(op.Buf, op.Off)
+			n, err = f.os.ReadAt(op.Buf, op.Off)
 			if err == io.EOF {
 				err = nil // finish zero-fills the tail
 			}
 		case OpWrite:
-			n, err = b.f.os.WriteAt(op.Buf, op.Off)
+			n, err = f.os.WriteAt(op.Buf, op.Off)
 		case OpFsync:
-			err = b.f.os.Sync()
+			err = f.os.Sync()
 		}
-		b.f.finish(op, n, err)
+		f.finish(op, n, err)
 	}
-}
-
-func (b *poolBackend) close() {
-	close(b.work)
-	b.wg.Wait()
 }

@@ -4,7 +4,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/iomgr"
 	"repro/internal/pager"
 )
 
@@ -22,7 +21,7 @@ func TestDefaultPagerFileBacked(t *testing.T) {
 		npages  = 64 // dataset: 4x the frame pool
 	)
 	vol, err := pager.OpenFileVolume(filepath.Join(t.TempDir(), "paging.vol"),
-		npages*4, pgsz, iomgr.Options{})
+		npages*4, pgsz)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,13 +3,11 @@ package pager
 import (
 	"path/filepath"
 	"testing"
-
-	"repro/internal/iomgr"
 )
 
 func benchVolume(b *testing.B, blocks, bsize int) *FileVolume {
 	b.Helper()
-	v, err := OpenFileVolume(filepath.Join(b.TempDir(), "vol"), blocks, bsize, iomgr.Options{})
+	v, err := OpenFileVolume(filepath.Join(b.TempDir(), "vol"), blocks, bsize)
 	if err != nil {
 		b.Fatalf("OpenFileVolume: %v", err)
 	}

@@ -7,13 +7,12 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/iomgr"
 	"repro/internal/machine"
 )
 
 func tempVolume(t *testing.T, blocks, bsize int) *FileVolume {
 	t.Helper()
-	v, err := OpenFileVolume(filepath.Join(t.TempDir(), "vol"), blocks, bsize, iomgr.Options{})
+	v, err := OpenFileVolume(filepath.Join(t.TempDir(), "vol"), blocks, bsize)
 	if err != nil {
 		t.Fatalf("OpenFileVolume: %v", err)
 	}

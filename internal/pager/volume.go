@@ -33,7 +33,7 @@ type IOCounters struct {
 	// BytesRead/BytesWritten count transferred bytes.
 	BytesRead    int64
 	BytesWritten int64
-	// Batches counts backend submission rounds (iomgr-backed stores).
+	// Batches counts iomgr dispatcher rounds (iomgr-backed stores).
 	Batches int64
 	// Frame-pool traffic, zero for bare devices.
 	FrameHits   int64
@@ -60,12 +60,11 @@ type FileVolume struct {
 
 // OpenFileVolume opens (creating if needed) a volume of nblocks blocks
 // of blockSize bytes at path.
-func OpenFileVolume(path string, nblocks, blockSize int, opts iomgr.Options) (*FileVolume, error) {
+func OpenFileVolume(path string, nblocks, blockSize int) (*FileVolume, error) {
 	if nblocks <= 0 || blockSize <= 0 {
 		return nil, fmt.Errorf("pager: invalid volume geometry %d x %d", nblocks, blockSize)
 	}
-	opts.Create = true
-	f, err := iomgr.Open(path, opts)
+	f, err := iomgr.Open(path, iomgr.Options{Create: true})
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,10 @@
 package vm
 
-import "time"
+import (
+	"time"
+
+	"repro/internal/machine"
+)
 
 // Fault is the Mach page fault handler, "the hub of the Mach virtual
 // memory system" (§5.5). It is called when the simulated hardware
@@ -161,8 +165,21 @@ func (m *Map) faultOnce(addr uint64, desired Prot) (retry bool, err error) {
 		if desired&ProtWrite != 0 {
 			np := s.pageInsert(res.firstObj, res.firstOff)
 			np.busy = true
+			// allocFrameLocked may wait with s.mu released: pin the
+			// ancestor page so pageout leaves it resident meanwhile.
+			p.wired++
 			f := s.allocFrameLocked(false)
+			p.wired--
 			s.assignFrameLocked(np, f)
+			if p.frame == machine.InvalidFrame {
+				// Freed anyway (flushed by its manager, or its
+				// object terminated): drop the placeholder and
+				// re-drive the fault.
+				np.busy = false
+				s.freePageLocked(np)
+				s.mu.Unlock()
+				return true, nil
+			}
 			copy(s.frames.Bytes(f), s.frames.Bytes(p.frame))
 			np.busy = false
 			np.dirty = true

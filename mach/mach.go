@@ -428,9 +428,9 @@ func NewManager(space *Space, h Handler) *Manager { return pager.NewManager(spac
 // --- durable storage & the I/O manager ----------------------------------------
 
 // The asynchronous block I/O subsystem: iomgr files submit ReadAt /
-// WriteAt / Fsync operations into a submission ring drained in batches
-// by an io_uring backend (Linux) or a portable worker pool — identical
-// semantics either way. A FileVolume is a BlockStore over such a file,
+// WriteAt / Fsync operations into a submission queue that a dispatcher
+// drains in batches to a small worker pool doing the positioned
+// syscalls. A FileVolume is a BlockStore over such a file,
 // a FramePool is a frame-table buffer cache over any BlockStore, and a
 // DefaultPager layered on either pages real files instead of the Go
 // heap (Config.PagingStore / Config.PagingFrames boot a kernel that
@@ -440,7 +440,7 @@ type (
 	IOFile = iomgr.File
 	// IOOp is one in-flight operation; Await blocks for completion.
 	IOOp = iomgr.Op
-	// IOOptions selects backend, queue depth and worker count.
+	// IOOptions sets file creation and the per-file queue depth.
 	IOOptions = iomgr.Options
 	// IOStats are a file's submission/completion counters.
 	IOStats = iomgr.Stats
